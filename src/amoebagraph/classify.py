@@ -15,18 +15,19 @@ from typing import Optional
 from .construct import comb_product, dagger, fresh_label
 from .fer import (
     EdgeReplacement,
+    feasible_replacements,
     fer_coset,
     fer_fixed_group,
     fer_group,
-    generating_set,
     hang_group,
 )
-from .lgraph import GraphError, LabeledGraph, automorphism_group
+from .lgraph import GraphError, LabeledGraph
 from .permgroup import (
     Permutation,
     cycle_notation,
     flat,
     is_block_system,
+    is_symmetric,
     is_transitive,
     label_key,
     minimal_block_system,
@@ -57,7 +58,7 @@ def _with_isolated(g: LabeledGraph) -> LabeledGraph:
 
 def is_local_amoeba(g: LabeledGraph) -> bool:
     """Whether Fer(G) is all of Sym(labels)."""
-    return fer_group(g).order == math.factorial(len(g.labels))
+    return is_symmetric(fer_group(g))
 
 
 def is_global_amoeba(g: LabeledGraph) -> bool:
@@ -74,7 +75,7 @@ def is_stem_symmetric(g: LabeledGraph, b=None) -> bool:
 def is_hang_symmetric(g: LabeledGraph, i=None) -> bool:
     """Whether <E^i ∪ Aut(G)> is all of Sym(labels)."""
     i = _pick_root(g, i)
-    return hang_group(g, i).order == math.factorial(len(g.labels))
+    return is_symmetric(hang_group(g, i))
 
 
 def is_stem_transitive(g: LabeledGraph, i=None) -> bool:
@@ -93,7 +94,7 @@ def is_stem_transitive(g: LabeledGraph, i=None) -> bool:
 def has_root_similar_vertex(g: LabeledGraph, k=None) -> bool:
     """Whether some automorphism moves label k (default: the root)."""
     k = _pick_root(g, k)
-    return any(a(k) != k for a in automorphism_group(g).generators)
+    return any(a(k) != k for a in fer_coset(g, EdgeReplacement()).perms)
 
 
 def check_theorem3(g: LabeledGraph, i=None) -> tuple:
@@ -165,16 +166,13 @@ def check_fixed_wreath_embedding(g: LabeledGraph, h: LabeledGraph) -> bool:
 def find_skew(gh: LabeledGraph, blocks) -> Optional[Permutation]:
     """First Fer generator of gh breaking the block partition, if any.
 
-    Searches the non-neutral replacement permutations first, then the
-    automorphisms.
+    Searches the non-neutral cosets first, then the automorphisms.
     """
-    aut = fer_coset(gh, EdgeReplacement()).perms
-    aut_images = {p.images for p in aut}
-    ordered = [p for p in generating_set(gh) if p.images not in aut_images]
-    ordered += list(aut)
-    for p in ordered:
-        if not preserves_partition(p, blocks):
-            return p
+    replacements = feasible_replacements(gh)
+    for r in replacements[1:] + replacements[:1]:
+        for p in fer_coset(gh, r).perms:
+            if not preserves_partition(p, blocks):
+                return p
     return None
 
 
@@ -238,7 +236,7 @@ def classify_graph(g: LabeledGraph) -> ClassificationReport:
     """
     group = fer_group(g)
     n = len(g.labels)
-    local = group.order == math.factorial(n)
+    local = is_symmetric(group)
     skew = None
     blocks = None
     if all(isinstance(x, tuple) for x in g.labels):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -23,7 +22,7 @@ from .fer import (
     hang_group,
 )
 from .lgraph import FormatError, GraphError, LabeledGraph, from_json, to_dot, to_json
-from .permgroup import PermutationError, cycle_notation, flat, orbits
+from .permgroup import PermutationError, cycle_notation, flat, is_symmetric, orbits
 
 ENGINE_LIMIT = 30
 ORACLE_LIMIT = 6
@@ -59,6 +58,18 @@ def _read_graph(path: str, limit: int) -> LabeledGraph:
             f"{path}: {len(g.labels)} labels exceeds the guard of {limit}"
         )
     return g
+
+
+def _read_pair(args, limit: int) -> tuple:
+    """Both comb factors, refused before the |G|·|H|-label product is built."""
+    g = _read_graph(args.g, limit)
+    h = _read_graph(args.h, limit)
+    size = len(g.labels) * len(h.labels)
+    if size > limit:
+        raise oracle.SizeGuardError(
+            f"product has {size} labels, exceeding the guard of {limit}"
+        )
+    return g, h
 
 
 def _write(text: str, out) -> None:
@@ -157,15 +168,8 @@ def _do_orbits(args) -> int:
 
 
 def _do_comb(args) -> int:
-    limit = _limit(args, ENGINE_LIMIT)
-    g = _read_graph(args.g, limit)
-    h = _read_graph(args.h, limit)
-    product = construct.comb_product(g, h)
-    if len(product.labels) > limit:
-        raise oracle.SizeGuardError(
-            f"product has {len(product.labels)} labels, exceeding the guard of {limit}"
-        )
-    _emit_graph(product, args)
+    g, h = _read_pair(args, _limit(args, ENGINE_LIMIT))
+    _emit_graph(construct.comb_product(g, h), args)
     return 0
 
 
@@ -185,8 +189,9 @@ def _do_oracle(args) -> int:
     g = _read_graph(args.file, _limit(args, ORACLE_LIMIT))
     result = oracle.reachability(g)
     aut_size = len(oracle.brute_automorphisms(g))
-    engine_order = fer_group(g).order
-    local_engine = engine_order == math.factorial(len(g.labels))
+    group = fer_group(g)
+    engine_order = group.order
+    local_engine = is_symmetric(group)
     local_oracle = len(result.reached) == result.total_copies
     agree = (
         len(result.reached) * aut_size == engine_order
@@ -241,8 +246,7 @@ def _do_check(args) -> int:
             None,
         )
         return 0 if ok else 1
-    g = _read_graph(args.g, limit)
-    h = _read_graph(args.h, limit)
+    g, h = _read_pair(args, limit)
     if args.checker == "wreath":
         ok = cls.check_wreath_embedding(g, h)
         _write(f"wreath: {_verdict(ok)}\n", None)

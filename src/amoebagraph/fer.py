@@ -6,31 +6,31 @@ original.  Fer_G(e1 -> e2) is the set of permutations whose embedding
 realizes the replaced graph; it is a left coset of Aut(G).  The union E_G
 of all cosets generates the group Fer(G).
 
-All results are cached per unrooted graph value, so repeated queries over
-root choices of the same graph share one computation.
+Each unrooted graph has one memo record, built on first use: its cosets by
+replacement (the neutral one is Aut(G), listed once), the feasible list,
+E_G and Fer(G), and per label the fixed set, fixed group and hang group.
+Queries over every root choice of one graph share that record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .lgraph import (
     FormatError,
     GraphError,
     LabeledGraph,
+    _canonical_edge,
     are_isomorphic,
-    automorphism_group,
     label_isomorphisms,
 )
 from .permgroup import (
-    Permutation,
     PermutationGroup,
     cycle_notation,
     flat,
     group_from_generators,
-    label_key,
 )
 
 NEUTRAL = "∅"
@@ -38,13 +38,6 @@ NEUTRAL = "∅"
 
 class InfeasibleReplacementError(ValueError):
     """Raised when a replacement cannot be applied or breaks the isomorphism type."""
-
-
-def _canonical_pair(edge) -> tuple:
-    u, v = edge
-    if u == v:
-        raise GraphError(f"self-loop at {flat(u)!r}")
-    return (u, v) if label_key(u) <= label_key(v) else (v, u)
 
 
 @dataclass(frozen=True)
@@ -61,8 +54,8 @@ class EdgeReplacement:
         if (self.removed is None) != (self.added is None):
             raise GraphError("replacement needs both edges, or neither")
         if self.removed is not None:
-            removed = _canonical_pair(self.removed)
-            added = _canonical_pair(self.added)
+            removed = _canonical_edge(*self.removed)
+            added = _canonical_edge(*self.added)
             if removed == added:
                 removed = added = None
             object.__setattr__(self, "removed", removed)
@@ -146,105 +139,110 @@ class FerCoset:
         }
 
 
-@lru_cache(maxsize=None)
-def _aut(g: LabeledGraph) -> PermutationGroup:
-    return automorphism_group(g)
+class _GraphMemo:
+    """Everything fer derives from one unrooted graph, each part built once.
+
+    Aut(G) is the neutral coset, E_G the concatenation of the cosets, and
+    the fixed set, fixed group and hang group are kept per label.
+    """
+
+    def __init__(self, g: LabeledGraph):
+        self.g = g
+        self.cosets = {}
+        self.fixed_sets = {}
+        self.fixed_groups = {}
+        self.hang_groups = {}
+
+    def coset(self, r: EdgeReplacement) -> FerCoset:
+        if r not in self.cosets:
+            perms = label_isomorphisms(apply_replacement(self.g, r), self.g)
+            if not perms:
+                raise InfeasibleReplacementError(
+                    f"replacement {replacement_notation(r)} changes the isomorphism type"
+                )
+            self.cosets[r] = FerCoset(r, perms)
+        return self.cosets[r]
+
+    @cached_property
+    def feasible(self) -> tuple:
+        g = self.g
+        replacements = [EdgeReplacement()]
+        absent = g.non_edges()
+        for removed in g.edges:
+            base = g.remove_edge(*removed)
+            for added in absent:
+                if are_isomorphic(base.add_edge(*added), g):
+                    replacements.append(EdgeReplacement(removed, added))
+        return tuple(replacements)
+
+    @cached_property
+    def generating_set(self) -> tuple:
+        # The cosets are disjoint: g - e1 + e2 determines e1 and e2.
+        return tuple(p for r in self.feasible for p in self.coset(r).perms)
+
+    @cached_property
+    def group(self) -> PermutationGroup:
+        return group_from_generators(self.generating_set, domain=self.g.labels)
+
+    def fixed_set(self, i) -> tuple:
+        if i not in self.fixed_sets:
+            self.fixed_sets[i] = tuple(p for p in self.generating_set if p(i) == i)
+        return self.fixed_sets[i]
+
+    def fixed_group(self, i) -> PermutationGroup:
+        if i not in self.fixed_groups:
+            gens = self.fixed_set(i)
+            self.fixed_groups[i] = group_from_generators(gens, domain=self.g.labels)
+        return self.fixed_groups[i]
+
+    def hang_group(self, i) -> PermutationGroup:
+        if i not in self.hang_groups:
+            gens = self.fixed_set(i) + self.coset(EdgeReplacement()).perms
+            self.hang_groups[i] = group_from_generators(gens, domain=self.g.labels)
+        return self.hang_groups[i]
 
 
 @lru_cache(maxsize=None)
-def _feasible(g: LabeledGraph) -> tuple:
-    replacements = [EdgeReplacement()]
-    absent = g.non_edges()
-    for removed in g.edges:
-        base = g.remove_edge(*removed)
-        for added in absent:
-            if are_isomorphic(base.add_edge(*added), g):
-                replacements.append(EdgeReplacement(removed, added))
-    return tuple(replacements)
+def _memo(g: LabeledGraph) -> _GraphMemo:
+    return _GraphMemo(g)
 
 
-@lru_cache(maxsize=None)
-def _coset(g: LabeledGraph, r: EdgeReplacement) -> FerCoset:
-    target = apply_replacement(g, r)
-    perms = label_isomorphisms(target, g)
-    if not perms:
-        raise InfeasibleReplacementError(
-            f"replacement {replacement_notation(r)} changes the isomorphism type"
-        )
-    return FerCoset(r, perms)
-
-
-@lru_cache(maxsize=None)
-def _generating_set(g: LabeledGraph) -> tuple:
-    out = []
-    seen = set()
-    for r in _feasible(g):
-        for p in _coset(g, r).perms:
-            if p.images not in seen:
-                seen.add(p.images)
-                out.append(p)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _fer_group(g: LabeledGraph) -> PermutationGroup:
-    return group_from_generators(_generating_set(g), domain=g.labels)
-
-
-@lru_cache(maxsize=None)
-def _fixed_generating_set(g: LabeledGraph, i) -> tuple:
-    return tuple(p for p in _generating_set(g) if p(i) == i)
-
-
-@lru_cache(maxsize=None)
-def _fer_fixed_group(g: LabeledGraph, i) -> PermutationGroup:
-    return group_from_generators(_fixed_generating_set(g, i), domain=g.labels)
-
-
-@lru_cache(maxsize=None)
-def _hang_group(g: LabeledGraph, i) -> PermutationGroup:
-    gens = _fixed_generating_set(g, i) + _aut(g).generators
-    return group_from_generators(gens, domain=g.labels)
-
-
-def _require_label(g: LabeledGraph, i):
+def _memo_at(g: LabeledGraph, i) -> _GraphMemo:
     if i not in set(g.labels):
         raise GraphError(f"unknown label {flat(i)!r}")
+    return _memo(g.unrooted())
 
 
 def feasible_replacements(g: LabeledGraph) -> tuple:
     """The neutral replacement plus every feasible edge swap, in edge order."""
-    return _feasible(g.unrooted())
+    return _memo(g.unrooted()).feasible
 
 
 def fer_coset(g: LabeledGraph, r: EdgeReplacement) -> FerCoset:
     """Fer_G(removed -> added): every p with embed(g, p) = g - removed + added."""
-    return _coset(g.unrooted(), r)
+    return _memo(g.unrooted()).coset(r)
 
 
 def generating_set(g: LabeledGraph) -> tuple:
-    """E_G: the union of all feasible cosets, deduplicated (neutral first)."""
-    return _generating_set(g.unrooted())
+    """E_G: the feasible cosets, concatenated in replacement order (neutral first)."""
+    return _memo(g.unrooted()).generating_set
 
 
 def fer_group(g: LabeledGraph) -> PermutationGroup:
     """Fer(G) = <E_G>, the feasible edge-replacement group."""
-    return _fer_group(g.unrooted())
+    return _memo(g.unrooted()).group
 
 
 def fixed_generating_set(g: LabeledGraph, i) -> tuple:
     """E^i_G: the members of E_G fixing label i."""
-    _require_label(g, i)
-    return _fixed_generating_set(g.unrooted(), i)
+    return _memo_at(g, i).fixed_set(i)
 
 
 def fer_fixed_group(g: LabeledGraph, i) -> PermutationGroup:
     """Fer^i(G) = <E^i_G>."""
-    _require_label(g, i)
-    return _fer_fixed_group(g.unrooted(), i)
+    return _memo_at(g, i).fixed_group(i)
 
 
 def hang_group(g: LabeledGraph, i) -> PermutationGroup:
     """The hang group <E^i_G ∪ Aut(G)>."""
-    _require_label(g, i)
-    return _hang_group(g.unrooted(), i)
+    return _memo_at(g, i).hang_group(i)

@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 
 from .permgroup import (
     Permutation,
+    PermutationError,
     PermutationGroup,
     flat,
     group_from_generators,
@@ -288,7 +289,7 @@ def from_json(text: str) -> LabeledGraph:
         raise FormatError(f"unknown fields: {sorted(extra)}")
     try:
         return LabeledGraph(tuple(labels), tuple(parsed), root)
-    except GraphError as err:
+    except (GraphError, PermutationError) as err:
         raise FormatError(str(err)) from None
 
 

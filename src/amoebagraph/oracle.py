@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations as all_orderings
 from typing import Iterator
 
-from .fer import EdgeReplacement, InfeasibleReplacementError, apply_replacement
+from .fer import EdgeReplacement, apply_replacement
 from .lgraph import LabeledGraph
 from .permgroup import Permutation, label_key
 
@@ -56,10 +56,7 @@ def brute_coset(g: LabeledGraph, r: EdgeReplacement) -> list:
     """Fer_G(r) by the full n! filter; empty when r is infeasible (n <= 8)."""
     if len(g.labels) > COSET_LIMIT:
         raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
-    try:
-        target = _canonical_state(apply_replacement(g.unrooted(), r).edges)
-    except InfeasibleReplacementError:
-        return []
+    target = _canonical_state(apply_replacement(g.unrooted(), r).edges)
     found = []
     for images in all_orderings(g.labels):
         mapping = dict(zip(g.labels, images))

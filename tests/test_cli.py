@@ -70,6 +70,14 @@ def test_classify_missing_file_is_a_usage_error(capsys):
     assert "nonexistent.json" in err
 
 
+def test_classify_duplicate_labels_is_a_usage_error_naming_the_path(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"labels": ["1", "1", "2"], "edges": []}', encoding="utf-8")
+    code, out, err = run_cli(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert str(path) in err and "duplicate labels" in err
+
+
 def test_classify_malformed_json_names_the_path(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"labels": ["1", "2"], "edges": [["1"]]}', encoding="utf-8")
@@ -193,6 +201,18 @@ def test_comb_guards_the_product_size(capsys, tmp_path):
     h = write_graph(tmp_path, family("path", 6, root="1"), "h.json")
     code, _, err = run_cli(capsys, ["comb", g, h, "-o", "-"])
     assert code == 3 and "36" in err
+
+
+@pytest.mark.parametrize("checker", ["bigcor", "wreath", "fixedwreath"])
+def test_pair_checkers_guard_the_product_size_like_comb(capsys, tmp_path, checker):
+    g = write_graph(tmp_path, family("path", 3), "g.json")
+    h = write_graph(tmp_path, family("path", 3, root="1"), "h.json")
+    code, out, comb_err = run_cli(capsys, ["--max-n", "4", "comb", g, h])
+    assert code == 3 and out == ""
+    assert "product has 9 labels, exceeding the guard of 4" in comb_err
+    code, out, err = run_cli(capsys, ["--max-n", "4", "check", checker, g, h])
+    assert code == 3 and out == ""
+    assert err == comb_err
 
 
 def test_unknown_example_name_is_rejected_by_argparse(capsys):

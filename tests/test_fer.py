@@ -330,3 +330,32 @@ def test_leaf_extension_into_a_bridged_union():
             extended = alpha.extended(j.labels)
             assert extended(x) == x
             assert extended.images in egs
+
+
+# ----------------------------------------------------------------------- memo
+
+
+def test_aut_is_listed_once_per_distinct_unrooted_graph(monkeypatch):
+    """Every 5-vertex class at every root: Aut of G and of G plus an isolated vertex.
+
+    34 classes give 68 distinct unrooted graphs.  The labels are used by no
+    other test, so the process-wide memo starts cold for them.
+    """
+    import amoebagraph.fer as fer_module
+    import amoebagraph.lgraph as lgraph_module
+    from amoebagraph import classify_graph, relabel
+
+    original = lgraph_module.label_isomorphisms
+    listings = []
+
+    def counted(h, g):
+        if h == g:
+            listings.append(g.unrooted())
+        return original(h, g)
+
+    monkeypatch.setattr(fer_module, "label_isomorphisms", counted)
+    monkeypatch.setattr(lgraph_module, "label_isomorphisms", counted)
+    fresh = {str(k): f"aut-memo-{k}" for k in range(1, 6)}
+    for g in corpus(5, rooted=True):
+        classify_graph(relabel(g, fresh))
+    assert len(listings) == len(set(listings)) == 68

@@ -287,6 +287,11 @@ def test_from_json_reports_the_bad_field():
         from_json("{")
 
 
+def test_from_json_rejects_duplicate_labels_as_a_format_error():
+    with pytest.raises(FormatError, match="duplicate labels"):
+        from_json('{"labels": ["1", "1", "2"], "edges": []}')
+
+
 def test_pair_labels_flatten_with_dots():
     g = LabeledGraph((("a", "1"), ("b", "1")), ((("a", "1"), ("b", "1")),))
     text = to_json(g)
