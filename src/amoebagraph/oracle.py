@@ -53,7 +53,11 @@ def brute_automorphisms(g: LabeledGraph) -> list:
 
 
 def brute_coset(g: LabeledGraph, r: EdgeReplacement) -> list:
-    """Fer_G(r) by the full n! filter; empty when r is infeasible (n <= 8)."""
+    """Fer_G(r) by the full n! filter (n <= 8).
+
+    Empty when g - removed + added is not isomorphic to g; GraphError, as from
+    fer_coset, when the removed edge is absent or the added one present.
+    """
     if len(g.labels) > COSET_LIMIT:
         raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
     target = _canonical_state(apply_replacement(g.unrooted(), r).edges)

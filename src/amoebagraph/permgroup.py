@@ -2,8 +2,9 @@
 
 Labels are strings, or nested (b, x) pairs coming from comb products.
 Permutations are immutable bijections on a canonically ordered domain;
-groups carry a deterministic Schreier-Sims stabilizer chain giving exact
-orders (arbitrary-precision ints) and fast membership tests.
+groups carry a deterministic Sims table, built by Knuth's sift-and-close
+algorithm, giving exact orders (arbitrary-precision ints), membership tests
+and element listings.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ def sorted_domain(labels) -> tuple:
 
 @lru_cache(maxsize=None)
 def _index_of(domain: tuple) -> dict:
-    return {label: k for k, label in enumerate(domain)}
+    """Position of each label; checks once per distinct domain that it is canonical."""
+    index = {label: k for k, label in enumerate(domain)}
+    if len(index) != len(domain) or list(domain) != sorted(domain, key=label_key):
+        raise PermutationError(f"domain is not canonically sorted and distinct: {domain}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,8 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        if self.domain != tuple(sorted(self.domain, key=label_key)):
-            raise PermutationError("domain is not canonically sorted")
-        if len(self.images) != len(self.domain) or set(self.images) != set(self.domain):
+        index = _index_of(self.domain)
+        if len(self.images) != len(index) or index.keys() != set(self.images):
             raise PermutationError("images are not a bijection of the domain")
 
     @classmethod
@@ -210,7 +214,7 @@ class _UnionFind:
 
 @dataclass(frozen=True)
 class PermutationGroup:
-    """Permutation group given by generators, with a lazy stabilizer chain."""
+    """Permutation group given by generators, with a lazy Sims table."""
 
     domain: tuple
     generators: tuple
@@ -221,39 +225,30 @@ class PermutationGroup:
                 raise PermutationError("generator domain does not match group domain")
 
     @cached_property
-    def _chain(self):
-        return _stabilizer_chain(self.domain, self.generators)
+    def _table(self) -> dict:
+        return _sims_table(self.domain, self.generators)
 
     @cached_property
     def order(self) -> int:
-        n = 1
-        for _base, _gens, transversal in self._chain:
-            n *= len(transversal)
-        return n
+        return math.prod(len(reps) + 1 for reps in self._table.values())
 
     def __contains__(self, p: Permutation) -> bool:
         if p.domain != self.domain:
             raise PermutationError("permutation domain does not match group domain")
-        h = p
-        for base, _gens, transversal in self._chain:
-            q = h(base)
-            if q not in transversal:
-                return False
-            h = compose(transversal[q].inverse(), h)
-        return h.is_identity
+        return _sift(self._table, 0, p).is_identity
 
     def elements(self) -> Iterator[Permutation]:
-        """All group elements, as transversal products down the chain."""
+        """All group elements, as products of one entry (or the identity) per level."""
 
-        def walk(level, acc):
-            if level == len(self._chain):
+        def walk(levels, acc):
+            if not levels:
                 yield acc
                 return
-            _base, _gens, transversal = self._chain[level]
-            for rep in transversal.values():
-                yield from walk(level + 1, compose(acc, rep))
+            yield from walk(levels[1:], acc)
+            for u, _inverse in levels[0].values():
+                yield from walk(levels[1:], compose(acc, u))
 
-        yield from walk(0, Permutation.identity(self.domain))
+        yield from walk(list(self._table.values()), self.identity())
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.domain)
@@ -266,65 +261,61 @@ class PermutationGroup:
         }
 
 
-def _first_moved_index(p: Permutation) -> int:
-    for k, (x, y) in enumerate(zip(p.domain, p.images)):
-        if x != y:
-            return k
-    raise PermutationError("identity has no moved point")
+def _sift(table: dict, k: int, h: Permutation) -> Permutation:
+    """Strip h, which fixes the first k labels, through levels k, k+1, ...
+
+    Returns the identity exactly when h lies in the group those levels hold;
+    otherwise the residue at the first level whose entries miss its image.
+    """
+    domain = h.domain
+    for level in range(k, len(domain)):
+        image = h.images[level]
+        if image != domain[level]:
+            reps = table.get(level)
+            if reps is None or image not in reps:
+                return h
+            h = compose(reps[image][1], h)
+    return h
 
 
-def _sims_filter(domain: tuple, perms) -> list:
-    """Reduce perms to at most n(n-1)/2 generators of the same group."""
-    idx = _index_of(domain)
+def _sims_table(domain: tuple, generators) -> dict:
+    """Knuth's sift-and-close Sims table (Combinatorica 11, 1991, Algorithms A/B).
+
+    Level k maps each image j != domain[k] of domain[k] under the stabilizer
+    of domain[:k] to a pair (u, u^-1) with u(domain[k]) = j and u fixing
+    domain[:k]; only levels with entries are stored, in level order.  The
+    generators S_k of level k are kept only while building: every member of
+    S_{k+1} is a Schreier generator of <S_k>, so the levels k, k+1, ... hold
+    <S_k> once its orbit is closed and every residue has been added below.
+    """
     table = {}
-    kept = []
-    for g in perms:
-        h = g
-        while not h.is_identity:
-            k = _first_moved_index(h)
-            key = (k, idx[h.images[k]])
-            if key not in table:
-                table[key] = h
-                kept.append(h)
-                break
-            h = compose(table[key].inverse(), h)
-    return kept
+    level_gens = {}
 
+    def add(k, p):
+        # Levels k, k+1, ... are closed whenever add is entered, so the
+        # sift decides membership in the group they hold.
+        if _sift(table, k, p).is_identity:
+            return
+        gens = level_gens.setdefault(k, [])
+        gens.append(p)
+        reps = table.get(k, {})
+        base = domain[k]
+        stack = [p] + [compose(p, u) for u, _inverse in reps.values()]
+        while stack:
+            q = stack.pop()
+            image = q.images[k]
+            if image == base:
+                add(k + 1, q)
+            elif image in reps:
+                add(k + 1, compose(reps[image][1], q))
+            else:
+                reps[image] = (q, q.inverse())
+                table[k] = reps
+                stack.extend(compose(s, q) for s in gens)
 
-def _orbit_transversal(base, gens, identity):
-    """Orbit of base with coset representatives u satisfying u(base) = point."""
-    transversal = {base: identity}
-    frontier = [base]
-    while frontier:
-        next_frontier = []
-        for p in frontier:
-            for s in gens:
-                q = s(p)
-                if q not in transversal:
-                    transversal[q] = compose(s, transversal[p])
-                    next_frontier.append(q)
-        frontier = sorted(next_frontier, key=label_key)
-    return transversal
-
-
-def _stabilizer_chain(domain: tuple, generators) -> list:
-    """Deterministic Schreier-Sims: base points greedily at first moved label."""
-    identity = Permutation(domain, domain)
-    levels = []
-    current = _sims_filter(domain, [g for g in generators if not g.is_identity])
-    while current:
-        base = domain[min(_first_moved_index(g) for g in current)]
-        transversal = _orbit_transversal(base, current, identity)
-        schreier = []
-        for point in sorted(transversal, key=label_key):
-            u = transversal[point]
-            for s in current:
-                sg = compose(transversal[s(point)].inverse(), compose(s, u))
-                if not sg.is_identity:
-                    schreier.append(sg)
-        levels.append((base, tuple(current), transversal))
-        current = _sims_filter(domain, schreier)
-    return levels
+    for g in generators:
+        add(0, g)
+    return dict(sorted(table.items()))
 
 
 def group_from_generators(gens, domain=None) -> PermutationGroup:
@@ -368,7 +359,7 @@ def order(group: PermutationGroup) -> int:
 
 
 def contains(group: PermutationGroup, p: Permutation) -> bool:
-    """Membership test via the stabilizer chain."""
+    """Membership test: p sifts to the identity through the group's Sims table."""
     return p in group
 
 

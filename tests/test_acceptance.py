@@ -2,7 +2,7 @@
 
 Twelve headline checks, one test each, in a fixed order; `pytest -v` prints
 one pass/fail line per check.  Every frozen order here was computed twice:
-once by the Schreier-Sims engine under test and once by an independent
+once by the Sims-table engine under test and once by an independent
 route (the n!-filter oracle, the reachability BFS, sympy, or networkx's
 VF2 matcher for the 12-vertex graph, where a 12!-filter is out of reach).
 Each test also enforces its wall-clock budget.

@@ -1,7 +1,7 @@
 """Brute-force oracle tests, and the oracle-vs-engine agreement sweeps.
 
 The oracle filters all n! permutations and BFS-walks labeled copies, so it
-shares no code path with the Schreier-Sims engine; agreement here is what
+shares no code path with the Sims-table engine; agreement here is what
 lets the frozen orders elsewhere in the suite stand on two legs.
 """
 
@@ -12,6 +12,7 @@ import pytest
 
 from amoebagraph import (
     EdgeReplacement,
+    GraphError,
     LabeledGraph,
     SizeGuardError,
     are_isomorphic,
@@ -71,6 +72,13 @@ def test_brute_coset_of_the_neutral_replacement_is_the_automorphism_filter():
 def test_brute_coset_of_an_infeasible_replacement_is_empty():
     p4 = family("path", 4)
     assert brute_coset(p4, EdgeReplacement(("1", "2"), ("1", "3"))) == []
+
+
+@pytest.mark.parametrize("coset", [brute_coset, fer_coset])
+def test_a_replacement_that_cannot_be_applied_raises_on_both_routes(coset):
+    """In P3 the edge 13 is absent and 12 present: GraphError, not an empty coset."""
+    with pytest.raises(GraphError):
+        coset(family("path", 3), EdgeReplacement(("1", "3"), ("1", "2")))
 
 
 # --------------------------------------------------------------- reachability

@@ -18,6 +18,8 @@ from amoebagraph import (
     compose,
     contains,
     cycle_notation,
+    example,
+    generating_set,
     group_from_generators,
     is_block_system,
     is_symmetric,
@@ -30,8 +32,10 @@ from amoebagraph import (
     symmetric_group,
     wreath_product,
 )
+from amoebagraph import permgroup
 
 DOM3 = ("1", "2", "3")
+DOM6 = tuple("123456")
 DOM7 = tuple(str(k) for k in range(1, 8))
 
 
@@ -45,7 +49,7 @@ def perms_on(labels):
 
 
 def naive_closure(gens, domain):
-    """Independent order oracle: BFS products until closed."""
+    """Independent group oracle: image tuples of all BFS products until closed."""
     frontier = {Permutation.identity(domain).images}
     gens = [g.images for g in gens]
     seen = set(frontier)
@@ -59,7 +63,7 @@ def naive_closure(gens, domain):
                     seen.add(prod)
                     nxt.add(prod)
         frontier = nxt
-    return len(seen)
+    return seen
 
 
 # ---------------------------------------------------------------- Permutation
@@ -68,6 +72,10 @@ def naive_closure(gens, domain):
 def test_construction_validates():
     with pytest.raises(PermutationError):
         Permutation(DOM3, ("1", "1", "2"))
+    with pytest.raises(PermutationError):
+        Permutation(("1", "1", "2"), ("2", "1", "1"))  # repeated domain label
+    with pytest.raises(PermutationError):
+        Permutation(("2", "1"), ("1", "2"))  # domain not canonically sorted
     with pytest.raises(PermutationError):
         Permutation(DOM3, ("1", "2"))
     with pytest.raises(PermutationError):
@@ -176,12 +184,54 @@ def test_symmetric_group_orders():
     assert order(symmetric_group(tuple(str(k) for k in range(1, 13)))) == 479001600
 
 
-@given(st.lists(perms_on(tuple("123456")), min_size=1, max_size=3))
+def assert_table_matches_closure(gens, domain):
+    """Order, element listing and membership of <gens> against naive closure."""
+    g = group_from_generators(gens, domain=domain)
+    closure = naive_closure(gens, domain)
+    assert g.order == len(closure)
+    listed = [p.images for p in g.elements()]
+    assert len(listed) == len(closure) and set(listed) == closure
+    for images in permutations(domain):
+        assert contains(g, Permutation(domain, images)) == (images in closure)
+
+
+@given(st.lists(perms_on(DOM6), min_size=1, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_order_matches_naive_closure(gens):
-    """Schreier-Sims order equals brute-force closure size."""
-    g = group_from_generators(gens, domain=tuple("123456"))
-    assert g.order == naive_closure(gens, tuple("123456"))
+    """Sims-table order, elements and membership equal brute-force closure."""
+    assert_table_matches_closure(gens, DOM6)
+
+
+PAIRS6 = wreath_product(symmetric_group(("a", "b")), symmetric_group(DOM3)).domain
+
+
+@pytest.mark.parametrize(
+    "texts, domain",
+    [
+        (["(5 6)"], DOM6),  # only the last level has entries
+        (["(5 6)", "(1 2)"], DOM6),  # a deep generator, then a shallow one
+        (["(4 5 6)", "(1 2)(5 6)", "(2 3)"], DOM6),  # levels 0, 1, 3 and 4 only
+        (["(a.1 b.1)", "(a.1 a.2 a.3)(b.1 b.2 b.3)", "(a.1 a.2)(b.1 b.2)"], PAIRS6),
+    ],
+)
+def test_sparse_tables_match_naive_closure(texts, domain):
+    assert_table_matches_closure([parse_cycles(t, domain) for t in texts], domain)
+
+
+def test_compose_count_of_the_counterexample_order_is_pinned(monkeypatch):
+    """Deterministic work: compose calls to order <E_G> for the 12-label graph."""
+    gh = example("counterexample_GH_labeled")
+    gens = generating_set(gh)
+    calls = []
+    compose_ = permgroup.compose
+
+    def counted(a, b):
+        calls.append(None)
+        return compose_(a, b)
+
+    monkeypatch.setattr(permgroup, "compose", counted)
+    assert group_from_generators(gens, domain=gh.labels).order == 82944
+    assert len(calls) == 416
 
 
 def test_elements_enumerates_exactly_once():
