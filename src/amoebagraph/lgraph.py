@@ -4,20 +4,26 @@ A labeled graph is a simple graph whose vertices *are* its labels (strings,
 or (b, x) pairs from comb products), plus an optional root label.  The JSON
 file format is fixed: {"labels": [...], "edges": [[u, v], ...], "root": u}
 with flattened labels, canonically ordered endpoints, and sorted lists.
+
+One backtracking search answers both isomorphism questions.  It matches
+the vertices of h in an order fixed up front (most matched neighbours, then
+highest degree, then first label), each to a vertex of g with the same
+degree and neighbour degrees that sees exactly the images of its matched
+neighbours.  are_isomorphic stops at the first match.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional
 
 from .permgroup import (
     Permutation,
     PermutationError,
     PermutationGroup,
+    _index_of,
     flat,
     group_from_generators,
     label_key,
@@ -76,6 +82,12 @@ class LabeledGraph:
             adj[u].add(v)
             adj[v].add(u)
         return {x: frozenset(nbrs) for x, nbrs in adj.items()}
+
+    @cached_property
+    def _invariants(self) -> dict:
+        """Each label's degree and sorted neighbour degrees; isomorphisms keep them."""
+        adj = self._adjacency
+        return {x: (len(adj[x]), tuple(sorted(len(adj[y]) for y in adj[x]))) for x in adj}
 
     @cached_property
     def _edge_set(self) -> frozenset:
@@ -163,78 +175,65 @@ def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.labels + h.labels, g.edges + h.edges, g.root)
 
 
-def _vertex_invariants(g: LabeledGraph) -> dict:
-    deg = {x: g.degree(x) for x in g.labels}
-    return {
-        x: (deg[x], tuple(sorted(deg[y] for y in g.neighbors(x))))
-        for x in g.labels
-    }
-
-
-def _isomorphism_search(h: LabeledGraph, g: LabeledGraph, first_only: bool) -> list:
-    """All label bijections m (as dicts) with edge ij in h iff edge m(i)m(j) in g."""
+def _isomorphisms(h: LabeledGraph, g: LabeledGraph):
+    """Yield each bijection m with edge ij in h iff m(i)m(j) in g, as images of h.labels."""
     if len(h.labels) != len(g.labels) or len(h.edges) != len(g.edges):
-        return []
-    inv_h = _vertex_invariants(h)
-    inv_g = _vertex_invariants(g)
+        return
+    inv_h, inv_g = h._invariants, g._invariants
     if sorted(inv_h.values()) != sorted(inv_g.values()):
-        return []
-    candidates = defaultdict(list)
-    for w in g.labels:
-        candidates[inv_g[w]].append(w)
-
-    adj_h = h._adjacency
-    adj_g = g._adjacency
-    placed = {}
-    used = set()
-    results = []
-
-    def pick_next():
-        return max(
+        return
+    # Which vertex comes next never depends on images, so one order serves every branch.
+    adj_h, adj_g = h._adjacency, g._adjacency
+    index = _index_of(h.labels)
+    order, earlier, pools, placed = [], [], [], set()
+    for _ in h.labels:
+        v = max(
             (v for v in h.labels if v not in placed),
             key=lambda v: (sum(u in placed for u in adj_h[v]), len(adj_h[v])),
         )
+        order.append(index[v])
+        earlier.append(tuple(index[u] for u in adj_h[v] if u in placed))
+        pools.append([w for w in g.labels if inv_g[w] == inv_h[v]])
+        placed.add(v)
+    image = [None] * len(order)
+    used = set()
 
-    def extend() -> bool:
-        if len(placed) == len(h.labels):
-            results.append(dict(placed))
-            return first_only
-        v = pick_next()
-        for w in candidates[inv_h[v]]:
-            if w in used:
+    def extend(k):
+        if k == len(order):
+            yield tuple(image)
+            return
+        back = earlier[k]
+        for w in pools[k]:
+            # w sees the image of every earlier neighbour and no other image.
+            if w in used or len(adj_g[w] & used) != len(back):
                 continue
-            if any((u in adj_h[v]) != (placed[u] in adj_g[w]) for u in placed):
+            if not all(image[j] in adj_g[w] for j in back):
                 continue
-            placed[v] = w
+            image[order[k]] = w
             used.add(w)
-            if extend():
-                return True
-            del placed[v]
+            yield from extend(k + 1)
             used.discard(w)
-        return False
 
-    extend()
-    return results
+    yield from extend(0)
 
 
 def label_isomorphisms(h: LabeledGraph, g: LabeledGraph) -> tuple:
     """Every permutation p with embed(g, p) == h (roots ignored), sorted.
 
-    The graphs must share one label set; use are_isomorphic for the
-    unlabeled question across different label sets.
+    Sorted by the domain positions of the images (label_key order, x-major
+    on pairs).  The graphs must share one label set; use are_isomorphic for
+    the unlabeled question across different label sets.
     """
     if set(h.labels) != set(g.labels):
         raise GraphError("label sets differ; no permutation can relate the graphs")
-    found = [
-        Permutation.from_mapping(m)
-        for m in _isomorphism_search(h, g, first_only=False)
-    ]
-    return tuple(sorted(found, key=lambda p: tuple(label_key(y) for y in p.images)))
+    position = _index_of(h.labels)
+    found = sorted(_isomorphisms(h, g), key=lambda t: [position[y] for y in t])
+    return tuple(Permutation(h.labels, t) for t in found)
 
 
 def are_isomorphic(h: LabeledGraph, g: LabeledGraph) -> bool:
     """Whether some label bijection maps g onto h (roots ignored)."""
-    return bool(_isomorphism_search(h, g, first_only=True))
+    return next(_isomorphisms(h, g), None) is not None
 
 
 def automorphism_group(g: LabeledGraph) -> PermutationGroup:
@@ -266,6 +265,9 @@ def from_json(text: str) -> LabeledGraph:
         isinstance(x, str) and x for x in labels
     ):
         raise FormatError('field "labels" must be a list of non-empty strings')
+    ambiguous = [x for x in labels if any(c.isspace() or c in "(){}," for c in x)]
+    if ambiguous:
+        raise FormatError(f'field "labels" has {ambiguous[0]!r}: no whitespace or ( ) {{ }} ,')
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
         raise FormatError('field "edges" must be a list of label pairs')

@@ -12,15 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class PermutationError(ValueError):
     """Raised for malformed permutations, domain mismatches and bad parses."""
-
-
-# A label is a plain string or a (b, x) pair of labels.
-Label = "str | tuple"
 
 
 def label_key(label):

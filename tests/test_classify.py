@@ -18,6 +18,7 @@ from amoebagraph import (
     comb_product,
     contains,
     corpus,
+    cycle_notation,
     example,
     family,
     fer_group,
@@ -194,6 +195,7 @@ def test_find_skew_on_a_full_symmetric_comb():
     assert skew is not None
     assert not preserves_partition(skew, blocks)
     assert contains(fer_group(gh), skew)
+    assert cycle_notation(skew) == "(1.1 2.1 2.2 1.2)"
 
 
 def test_find_skew_via_the_copy_swapping_automorphism():

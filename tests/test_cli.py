@@ -78,6 +78,17 @@ def test_classify_duplicate_labels_is_a_usage_error_naming_the_path(capsys, tmp_
     assert str(path) in err and "duplicate labels" in err
 
 
+def test_classify_label_the_text_outputs_cannot_show_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"labels": ["a b", "c", "d"], "edges": [["a b", "c"], ["c", "d"]]}',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert str(path) in err and "labels" in err
+
+
 def test_classify_malformed_json_names_the_path(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"labels": ["1", "2"], "edges": [["1"]]}', encoding="utf-8")

@@ -17,6 +17,7 @@ from amoebagraph import (
     Permutation,
     apply_replacement,
     automorphism_group,
+    comb_product,
     compose,
     contains,
     corpus,
@@ -31,12 +32,14 @@ from amoebagraph import (
     generating_set,
     group_from_generators,
     hang_group,
+    label_isomorphisms,
     parse_cycles,
     parse_replacement,
     replacement_notation,
     symmetric_group,
     wreath_product,
 )
+from amoebagraph.permgroup import label_key
 
 P2_STAR = LabeledGraph(("1", "2", "3"), (("1", "2"),))  # P2 plus an isolated label
 
@@ -162,6 +165,16 @@ def test_cosets_are_left_translates_of_aut():
             assert {p.images for p in coset.perms} == {
                 compose(a, s0).images for a in aut
             }
+
+
+def test_isomorphisms_are_listed_in_label_key_order_on_pair_labels():
+    """Python orders (b, x) pairs b-major but label_key x-major; listings follow label_key."""
+    g = comb_product(family("path", 3).unrooted(), family("complete", 3, root="1"))
+    coset = fer_coset(g, parse_replacement("1.1,1.2->2.1,1.2", g.labels)).perms
+    for perms in (label_isomorphisms(g, g), coset):
+        keys = [[label_key(y) for y in p.images] for p in perms]
+        assert keys == sorted(keys)
+    assert [p.images for p in coset] != sorted(p.images for p in coset)
 
 
 def test_infeasible_replacement_raises():

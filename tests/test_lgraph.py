@@ -1,5 +1,7 @@
 """Labeled graph, embedding, isomorphism search, and JSON format tests."""
 
+import json
+from collections import defaultdict
 from itertools import combinations, permutations
 
 import pytest
@@ -14,6 +16,7 @@ from amoebagraph import (
     are_isomorphic,
     automorphism_group,
     compose,
+    corpus,
     disjoint_union,
     embed,
     example,
@@ -25,6 +28,7 @@ from amoebagraph import (
     to_dot,
     to_json,
 )
+from amoebagraph.oracle import brute_automorphisms
 
 DOM5 = tuple(str(k) for k in range(1, 6))
 PAIRS5 = tuple(combinations(DOM5, 2))
@@ -227,6 +231,33 @@ def test_are_isomorphic_across_label_sets():
     assert not are_isomorphic(family("complete", 3), other)
 
 
+def test_label_isomorphisms_of_every_five_vertex_class_match_the_brute_filter():
+    for g in corpus(5):
+        assert {p.images for p in label_isomorphisms(g, g)} == {
+            p.images for p in brute_automorphisms(g)
+        }
+
+
+def degree_profile(g):
+    """Sorted (degree, sorted neighbour degrees) of every vertex."""
+    return sorted(
+        (g.degree(x), tuple(sorted(g.degree(y) for y in g.neighbors(x))))
+        for x in g.labels
+    )
+
+
+def test_classes_with_equal_degree_profiles_are_told_apart():
+    """Pairs that pass the invariant filter reach the search and are rejected."""
+    by_profile = defaultdict(list)
+    for g in corpus(6):
+        by_profile[tuple(degree_profile(g))].append(g)
+    pairs = [tuple(same[:2]) for same in by_profile.values() if len(same) > 1][:4]
+    assert len(pairs) == 4
+    for g, h in pairs:
+        assert g != h and degree_profile(g) == degree_profile(h)
+        assert not are_isomorphic(g, h) and not are_isomorphic(h, g)
+
+
 @given(graphs_on_five(), perms_on_five())
 @settings(max_examples=100)
 def test_embedded_copies_are_isomorphic(g, p):
@@ -285,6 +316,9 @@ def test_from_json_reports_the_bad_field():
         from_json('{"labels": ["1"], "edges": [], "colour": "red"}')
     with pytest.raises(FormatError, match="invalid JSON"):
         from_json("{")
+    for bad in ("a b", "a\tb", "(a", "a)", "{a", "a}", "a,b"):
+        with pytest.raises(FormatError, match="labels"):
+            from_json(json.dumps({"labels": [bad, "c"], "edges": [[bad, "c"]]}))
 
 
 def test_from_json_rejects_duplicate_labels_as_a_format_error():
