@@ -57,9 +57,11 @@ from .lgraph import (
     GraphError,
     LabeledGraph,
     are_isomorphic,
+    automorphism_generators,
     automorphism_group,
     disjoint_union,
     embed,
+    first_isomorphism,
     from_json,
     label_isomorphisms,
     relabel,

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .construct import comb_product, dagger, fresh_label
 from .fer import (
-    EdgeReplacement,
+    aut_generators,
     feasible_replacements,
     fer_coset,
     fer_fixed_group,
@@ -94,7 +94,7 @@ def is_stem_transitive(g: LabeledGraph, i=None) -> bool:
 def has_root_similar_vertex(g: LabeledGraph, k=None) -> bool:
     """Whether some automorphism moves label k (default: the root)."""
     k = _pick_root(g, k)
-    return any(a(k) != k for a in fer_coset(g, EdgeReplacement()).perms)
+    return any(a(k) != k for a in aut_generators(g))
 
 
 def check_theorem3(g: LabeledGraph, i=None) -> tuple:
@@ -164,10 +164,14 @@ def check_fixed_wreath_embedding(g: LabeledGraph, h: LabeledGraph) -> bool:
 
 
 def find_skew(gh: LabeledGraph, blocks) -> Optional[Permutation]:
-    """First Fer generator of gh breaking the block partition, if any.
+    """First member of E_G breaking the block partition, if any.
 
-    Searches the non-neutral cosets first, then the automorphisms.
+    None when every generator of Fer(gh) preserves the blocks, since then
+    the whole group does.  Otherwise searches the non-neutral cosets first,
+    then the automorphisms.
     """
+    if all(preserves_partition(p, blocks) for p in fer_group(gh).generators):
+        return None
     replacements = feasible_replacements(gh)
     for r in replacements[1:] + replacements[:1]:
         for p in fer_coset(gh, r).perms:

@@ -6,10 +6,15 @@ original.  Fer_G(e1 -> e2) is the set of permutations whose embedding
 realizes the replaced graph; it is a left coset of Aut(G).  The union E_G
 of all cosets generates the group Fer(G).
 
-Each unrooted graph has one memo record, built on first use: its cosets by
-replacement (the neutral one is Aut(G), listed once), the feasible list,
-E_G and Fer(G), and per label the fixed set, fixed group and hang group.
-Queries over every root choice of one graph share that record.
+Each unrooted graph has one memo record, built on first use.  It holds the
+groups by generators, so no group is listed: strong generators of Aut(G),
+the feasible list, one representative of each feasible coset, and Fer(G)
+generated by both.  Per label i it holds one transversal of i's Aut-orbit,
+which gives generators of the stabilizer Aut_i and, for each coset that
+meets the stabilizer of i, a member fixing i; the fixed group and the hang
+group come from those.  The explicit cosets, E_G and E^i_G are listed only
+when asked for.  Queries over every root choice of one graph share the
+record.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .lgraph import (
     LabeledGraph,
     _canonical_edge,
     are_isomorphic,
+    automorphism_generators,
+    first_isomorphism,
     label_isomorphisms,
 )
 from .permgroup import (
@@ -31,6 +38,9 @@ from .permgroup import (
     cycle_notation,
     flat,
     group_from_generators,
+    schreier_generators,
+    strip,
+    transversal,
 )
 
 NEUTRAL = "∅"
@@ -142,14 +152,19 @@ class FerCoset:
 class _GraphMemo:
     """Everything fer derives from one unrooted graph, each part built once.
 
-    Aut(G) is the neutral coset, E_G the concatenation of the cosets, and
-    the fixed set, fixed group and hang group are kept per label.
+    Every coset is Aut(G)∘σ for any one member σ, so Fer(G) is generated by
+    Aut(G)'s generators and one σ_r per feasible replacement r.  For a label
+    i with transversal u_j (u_j(i) = j) of its Aut-orbit, the members of
+    coset r fixing i are Aut_i∘τ_r with τ_r = u_j^-1∘σ_r, j = σ_r(i), when
+    j lies in the orbit, and there are none otherwise.  Hence Fer^i(G) is
+    generated by Aut_i and the τ_r, and the hang group by Aut(G) and the τ_r.
     """
 
     def __init__(self, g: LabeledGraph):
         self.g = g
         self.cosets = {}
         self.fixed_sets = {}
+        self.stabilizers = {}
         self.fixed_groups = {}
         self.hang_groups = {}
 
@@ -176,28 +191,50 @@ class _GraphMemo:
         return tuple(replacements)
 
     @cached_property
+    def aut_gens(self) -> tuple:
+        return automorphism_generators(self.g)
+
+    @cached_property
+    def representatives(self) -> tuple:
+        """One member σ_r of each non-neutral feasible coset, in replacement order."""
+        g = self.g
+        return tuple(
+            first_isomorphism(apply_replacement(g, r), g) for r in self.feasible[1:]
+        )
+
+    @cached_property
     def generating_set(self) -> tuple:
         # The cosets are disjoint: g - e1 + e2 determines e1 and e2.
         return tuple(p for r in self.feasible for p in self.coset(r).perms)
 
     @cached_property
     def group(self) -> PermutationGroup:
-        return group_from_generators(self.generating_set, domain=self.g.labels)
+        gens = self.aut_gens + self.representatives
+        return group_from_generators(gens, domain=self.g.labels)
 
     def fixed_set(self, i) -> tuple:
         if i not in self.fixed_sets:
             self.fixed_sets[i] = tuple(p for p in self.generating_set if p(i) == i)
         return self.fixed_sets[i]
 
+    def stabilizer(self, i) -> tuple:
+        """Generators of Aut_i, and the members τ_r of the cosets that fix i."""
+        if i not in self.stabilizers:
+            u = transversal(self.aut_gens, self.g.labels, i)
+            aut_i = schreier_generators(self.aut_gens, u, i)
+            taus = tuple(strip(u, i, s) for s in self.representatives if s(i) in u)
+            self.stabilizers[i] = (aut_i, taus)
+        return self.stabilizers[i]
+
     def fixed_group(self, i) -> PermutationGroup:
         if i not in self.fixed_groups:
-            gens = self.fixed_set(i)
-            self.fixed_groups[i] = group_from_generators(gens, domain=self.g.labels)
+            aut_i, taus = self.stabilizer(i)
+            self.fixed_groups[i] = group_from_generators(aut_i + taus, domain=self.g.labels)
         return self.fixed_groups[i]
 
     def hang_group(self, i) -> PermutationGroup:
         if i not in self.hang_groups:
-            gens = self.fixed_set(i) + self.coset(EdgeReplacement()).perms
+            gens = self.aut_gens + self.stabilizer(i)[1]
             self.hang_groups[i] = group_from_generators(gens, domain=self.g.labels)
         return self.hang_groups[i]
 
@@ -211,6 +248,11 @@ def _memo_at(g: LabeledGraph, i) -> _GraphMemo:
     if i not in set(g.labels):
         raise GraphError(f"unknown label {flat(i)!r}")
     return _memo(g.unrooted())
+
+
+def aut_generators(g: LabeledGraph) -> tuple:
+    """Strong generators of Aut(G) (lgraph.automorphism_generators), kept per graph."""
+    return _memo(g.unrooted()).aut_gens
 
 
 def feasible_replacements(g: LabeledGraph) -> tuple:

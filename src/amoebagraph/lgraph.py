@@ -5,16 +5,20 @@ or (b, x) pairs from comb products), plus an optional root label.  The JSON
 file format is fixed: {"labels": [...], "edges": [[u, v], ...], "root": u}
 with flattened labels, canonically ordered endpoints, and sorted lists.
 
-One backtracking search answers both isomorphism questions.  It matches
+One backtracking search answers every isomorphism question.  It matches
 the vertices of h in an order fixed up front (most matched neighbours, then
 highest degree, then first label), each to a vertex of g with the same
 degree and neighbour degrees that sees exactly the images of its matched
-neighbours.  are_isomorphic stops at the first match.
+neighbours.  are_isomorphic and first_isomorphism stop at the first match.
+Pairs forced up front let automorphism_generators find one automorphism
+per new orbit point along a base, a strong generating set of Aut(G) whose
+size grows with the number of labels, not with |Aut(G)|.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -28,6 +32,7 @@ from .permgroup import (
     group_from_generators,
     label_key,
     sorted_domain,
+    transversal,
 )
 
 
@@ -175,8 +180,27 @@ def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.labels + h.labels, g.edges + h.edges, g.root)
 
 
-def _isomorphisms(h: LabeledGraph, g: LabeledGraph):
-    """Yield each bijection m with edge ij in h iff m(i)m(j) in g, as images of h.labels."""
+def _matching_order(h: LabeledGraph, first=()) -> list:
+    """h's labels in search order: first, then by most matched neighbours,
+    highest degree and first label."""
+    adj = h._adjacency
+    order = list(first)
+    placed_nbrs = Counter(u for v in order for u in adj[v])
+    skipped = set(order)
+    rest = [v for v in h.labels if v not in skipped]
+    while rest:
+        v = max(rest, key=lambda v: (placed_nbrs[v], len(adj[v])))
+        rest.remove(v)
+        order.append(v)
+        placed_nbrs.update(adj[v])
+    return order
+
+
+def _isomorphisms(h: LabeledGraph, g: LabeledGraph, fixed=()):
+    """Yield each bijection m with edge ij in h iff m(i)m(j) in g, as images of h.labels.
+
+    Each (x, y) in fixed forces m(x) = y; those x are matched first.
+    """
     if len(h.labels) != len(g.labels) or len(h.edges) != len(g.edges):
         return
     inv_h, inv_g = h._invariants, g._invariants
@@ -185,15 +209,16 @@ def _isomorphisms(h: LabeledGraph, g: LabeledGraph):
     # Which vertex comes next never depends on images, so one order serves every branch.
     adj_h, adj_g = h._adjacency, g._adjacency
     index = _index_of(h.labels)
+    forced = dict(fixed)
     order, earlier, pools, placed = [], [], [], set()
-    for _ in h.labels:
-        v = max(
-            (v for v in h.labels if v not in placed),
-            key=lambda v: (sum(u in placed for u in adj_h[v]), len(adj_h[v])),
-        )
+    for v in _matching_order(h, forced):
         order.append(index[v])
         earlier.append(tuple(index[u] for u in adj_h[v] if u in placed))
-        pools.append([w for w in g.labels if inv_g[w] == inv_h[v]])
+        if v in forced:
+            y = forced[v]
+            pools.append([y] if inv_g.get(y) == inv_h[v] else [])
+        else:
+            pools.append([w for w in g.labels if inv_g[w] == inv_h[v]])
         placed.add(v)
     image = [None] * len(order)
     used = set()
@@ -236,9 +261,44 @@ def are_isomorphic(h: LabeledGraph, g: LabeledGraph) -> bool:
     return next(_isomorphisms(h, g), None) is not None
 
 
+def first_isomorphism(h: LabeledGraph, g: LabeledGraph, fixed=()):
+    """The first p the search finds with embed(g, p) == h and p(x) = y for
+    each (x, y) in fixed, or None when there is none."""
+    if set(h.labels) != set(g.labels):
+        raise GraphError("label sets differ; no permutation can relate the graphs")
+    found = next(_isomorphisms(h, g, fixed), None)
+    return None if found is None else Permutation(h.labels, found)
+
+
+def automorphism_generators(g: LabeledGraph) -> tuple:
+    """A strong generating set of Aut(g), without listing the group.
+
+    The base v_0, ..., v_{n-1} is the search's matching order.  From the
+    last level k down to 0, each w with v_k's invariants that lies outside
+    v_0..v_{k-1} and outside v_k's orbit under the generators found so far
+    gets one prefix-forced search for an automorphism fixing v_0..v_{k-1}
+    and sending v_k to w.  The generators from levels k to n-1 then
+    generate the pointwise stabilizer of v_0..v_{k-1} (Sims).
+    """
+    base = _matching_order(g)
+    gens = []
+    for k in reversed(range(len(base))):
+        v = base[k]
+        prefix = [(x, x) for x in base[:k]]
+        skip = set(base[:k]) | transversal(gens, g.labels, v).keys()
+        for w in g.labels:
+            if w in skip or g._invariants[w] != g._invariants[v]:
+                continue
+            found = first_isomorphism(g, g, prefix + [(v, w)])
+            if found is not None:
+                gens.append(found)
+                skip |= transversal(gens, g.labels, v).keys()
+    return tuple(gens)
+
+
 def automorphism_group(g: LabeledGraph) -> PermutationGroup:
-    """Aut(g) with every automorphism listed as a generator."""
-    return group_from_generators(label_isomorphisms(g, g), domain=g.labels)
+    """Aut(g), generated by automorphism_generators(g)."""
+    return group_from_generators(automorphism_generators(g), domain=g.labels)
 
 
 def to_json(g: LabeledGraph) -> str:

@@ -15,7 +15,7 @@ from itertools import permutations as all_orderings
 from typing import Iterator
 
 from .fer import EdgeReplacement, apply_replacement
-from .lgraph import LabeledGraph
+from .lgraph import LabeledGraph, _canonical_edge
 from .permgroup import Permutation, label_key
 
 COSET_LIMIT = 8
@@ -29,9 +29,7 @@ class SizeGuardError(ValueError):
 
 
 def _canonical_state(edges) -> tuple:
-    pairs = [
-        (u, v) if label_key(u) <= label_key(v) else (v, u) for u, v in edges
-    ]
+    pairs = [_canonical_edge(u, v) for u, v in edges]
     return tuple(sorted(pairs, key=lambda e: (label_key(e[0]), label_key(e[1]))))
 
 
@@ -43,11 +41,12 @@ def brute_automorphisms(g: LabeledGraph) -> list:
     """Aut(g) by filtering all n! permutations (n <= 8)."""
     if len(g.labels) > COSET_LIMIT:
         raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
-    start = _canonical_state(g.edges)
+    # A bijection sending every edge to an edge sends the edge set onto itself.
+    edges = {frozenset(e) for e in g.edges}
     found = []
     for images in all_orderings(g.labels):
         mapping = dict(zip(g.labels, images))
-        if _mapped_state(mapping, g.edges) == start:
+        if all(frozenset((mapping[u], mapping[v])) in edges for u, v in g.edges):
             found.append(Permutation(g.labels, images))
     return found
 

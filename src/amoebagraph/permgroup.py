@@ -53,20 +53,58 @@ def _index_of(domain: tuple) -> dict:
     return index
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _identity_positions(n: int) -> tuple:
+    return tuple(range(n))
+
+
 class Permutation:
     """Immutable bijection on a canonically ordered label domain.
 
-    ``images[k]`` is the image of ``domain[k]``.
+    ``perm[k]`` is the domain position of the image of ``domain[k]``, and
+    ``images[k]`` is that image itself.  The public constructors validate;
+    products and inverses of valid permutations skip the check.
     """
 
-    domain: tuple
-    images: tuple
+    __slots__ = ("domain", "perm", "_images")
 
-    def __post_init__(self):
-        index = _index_of(self.domain)
-        if len(self.images) != len(index) or index.keys() != set(self.images):
+    def __init__(self, domain: tuple, images: tuple):
+        index = _index_of(domain)
+        images = tuple(images)
+        try:
+            perm = tuple(index[y] for y in images)
+        except (KeyError, TypeError):
+            raise PermutationError("images are not a bijection of the domain") from None
+        if len(perm) != len(index) or len(set(perm)) != len(perm):
             raise PermutationError("images are not a bijection of the domain")
+        _set_domain(self, domain)
+        _set_perm(self, perm)
+        _set_images(self, images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return self.perm == other.perm and (
+            self.domain is other.domain or self.domain == other.domain
+        )
+
+    def __hash__(self):
+        return hash(self.perm)
+
+    def __repr__(self) -> str:
+        return f"Permutation(domain={self.domain!r}, images={self.images!r})"
+
+    @property
+    def images(self) -> tuple:
+        images = self._images
+        if images is None:
+            domain = self.domain
+            images = tuple([domain[k] for k in self.perm])
+            _set_images(self, images)
+        return images
 
     @classmethod
     def identity(cls, labels) -> "Permutation":
@@ -80,24 +118,23 @@ class Permutation:
 
     def __call__(self, label):
         try:
-            return self.images[_index_of(self.domain)[label]]
+            return self.domain[self.perm[_index_of(self.domain)[label]]]
         except KeyError:
             raise PermutationError(f"label {flat(label)!r} not in domain") from None
 
     @property
     def is_identity(self) -> bool:
-        return self.images == self.domain
+        return self.perm == _identity_positions(len(self.perm))
 
     def moved(self) -> tuple:
         """Labels not fixed by this permutation, in domain order."""
-        return tuple(x for x, y in zip(self.domain, self.images) if x != y)
+        return tuple(self.domain[k] for k, j in enumerate(self.perm) if k != j)
 
     def inverse(self) -> "Permutation":
-        idx = _index_of(self.domain)
-        inv = [None] * len(self.domain)
-        for k, y in enumerate(self.images):
-            inv[idx[y]] = self.domain[k]
-        return Permutation(self.domain, tuple(inv))
+        inv = [0] * len(self.perm)
+        for k, j in enumerate(self.perm):
+            inv[j] = k
+        return _unchecked(self.domain, tuple(inv))
 
     def extended(self, extra_labels) -> "Permutation":
         """The same bijection on a larger domain, fixing every extra label."""
@@ -126,30 +163,45 @@ class Permutation:
         return cycle_notation(self)
 
 
+# Slot setters: they bypass the __setattr__ that keeps Permutation immutable.
+_set_domain = Permutation.domain.__set__
+_set_perm = Permutation.perm.__set__
+_set_images = Permutation._images.__set__
+
+
+def _unchecked(domain: tuple, perm: tuple) -> Permutation:
+    """A permutation from image positions already known to be a bijection."""
+    p = object.__new__(Permutation)
+    _set_domain(p, domain)
+    _set_perm(p, perm)
+    _set_images(p, None)
+    return p
+
+
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Composition acting right-to-left: compose(a, b)(x) = a(b(x))."""
-    if a.domain != b.domain:
+    if a.domain is not b.domain and a.domain != b.domain:
         raise PermutationError("cannot compose permutations on different domains")
-    idx = _index_of(a.domain)
-    ai = a.images
-    return Permutation(a.domain, tuple(ai[idx[y]] for y in b.images))
+    ap = a.perm
+    return _unchecked(a.domain, tuple([ap[j] for j in b.perm]))
 
 
 def cycle_notation(p: Permutation) -> str:
     """Cycle notation over flattened labels, e.g. "(1 4)(2 3)"; identity "()"."""
+    perm, domain = p.perm, p.domain
     seen = set()
     parts = []
-    for start in p.domain:
-        if start in seen or p(start) == start:
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
             continue
         cycle = [start]
         seen.add(start)
-        x = p(start)
-        while x != start:
-            cycle.append(x)
-            seen.add(x)
-            x = p(x)
-        parts.append("(" + " ".join(flat(c) for c in cycle) + ")")
+        k = perm[start]
+        while k != start:
+            cycle.append(k)
+            seen.add(k)
+            k = perm[k]
+        parts.append("(" + " ".join(flat(domain[c]) for c in cycle) + ")")
     return "".join(parts) if parts else "()"
 
 
@@ -258,15 +310,14 @@ class PermutationGroup:
 
 
 def _sift(table: dict, k: int, h: Permutation) -> Permutation:
-    """Strip h, which fixes the first k labels, through levels k, k+1, ...
+    """Strip h, which fixes the first k positions, through levels k, k+1, ...
 
     Returns the identity exactly when h lies in the group those levels hold;
     otherwise the residue at the first level whose entries miss its image.
     """
-    domain = h.domain
-    for level in range(k, len(domain)):
-        image = h.images[level]
-        if image != domain[level]:
+    for level in range(k, len(h.perm)):
+        image = h.perm[level]
+        if image != level:
             reps = table.get(level)
             if reps is None or image not in reps:
                 return h
@@ -277,9 +328,9 @@ def _sift(table: dict, k: int, h: Permutation) -> Permutation:
 def _sims_table(domain: tuple, generators) -> dict:
     """Knuth's sift-and-close Sims table (Combinatorica 11, 1991, Algorithms A/B).
 
-    Level k maps each image j != domain[k] of domain[k] under the stabilizer
-    of domain[:k] to a pair (u, u^-1) with u(domain[k]) = j and u fixing
-    domain[:k]; only levels with entries are stored, in level order.  The
+    Level k maps each position j != k that the stabilizer of positions
+    0..k-1 sends k to, to a pair (u, u^-1) with u(k) = j and u fixing
+    0..k-1; only levels with entries are stored, in level order.  The
     generators S_k of level k are kept only while building: every member of
     S_{k+1} is a Schreier generator of <S_k>, so the levels k, k+1, ... hold
     <S_k> once its orbit is closed and every residue has been added below.
@@ -295,12 +346,11 @@ def _sims_table(domain: tuple, generators) -> dict:
         gens = level_gens.setdefault(k, [])
         gens.append(p)
         reps = table.get(k, {})
-        base = domain[k]
         stack = [p] + [compose(p, u) for u, _inverse in reps.values()]
         while stack:
             q = stack.pop()
-            image = q.images[k]
-            if image == base:
+            image = q.perm[k]
+            if image == k:
                 add(k + 1, q)
             elif image in reps:
                 add(k + 1, compose(reps[image][1], q))
@@ -328,11 +378,40 @@ def group_from_generators(gens, domain=None) -> PermutationGroup:
     for g in gens:
         if g.domain != domain:
             raise PermutationError("generators live on different domains")
-        if g.is_identity or g.images in seen:
+        if g.is_identity or g.perm in seen:
             continue
-        seen.add(g.images)
+        seen.add(g.perm)
         unique.append(g)
     return PermutationGroup(domain, tuple(unique))
+
+
+def transversal(generators, domain: tuple, point) -> dict:
+    """For each label j in the orbit of point, some u_j in <generators> with
+    u_j(point) = j, found breadth-first from u_point, the identity."""
+    found = {point: _unchecked(domain, _identity_positions(len(domain)))}
+    todo = [point]
+    for j in todo:
+        for a in generators:
+            k = a(j)
+            if k not in found:
+                found[k] = compose(a, found[j])
+                todo.append(k)
+    return found
+
+
+def strip(reps: dict, point, p: Permutation) -> Permutation:
+    """u_j^-1 p for j = p(point) and u_j = reps[j], a transversal of point's
+    orbit; the result fixes point.  j must lie in the orbit."""
+    return compose(reps[p(point)].inverse(), p)
+
+
+def schreier_generators(generators, reps: dict, point) -> tuple:
+    """Schreier's lemma: over every generator a and every u_j in reps, a
+    transversal of point's orbit, the products u_{a(j)}^-1 a u_j generate
+    the stabilizer of point."""
+    return tuple(
+        strip(reps, point, compose(a, u)) for u in reps.values() for a in generators
+    )
 
 
 def symmetric_group(labels) -> PermutationGroup:

@@ -1,8 +1,8 @@
 """End-to-end acceptance suite.
 
-Twelve headline checks, one test each, in a fixed order; `pytest -v` prints
-one pass/fail line per check.  Every frozen order here was computed twice:
-once by the Sims-table engine under test and once by an independent
+Thirteen headline checks, one test each, in a fixed order; `pytest -v`
+prints one pass/fail line per check.  Every frozen order here was computed
+twice: once by the Sims-table engine under test and once by an independent
 route (the n!-filter oracle, the reachability BFS, sympy, or networkx's
 VF2 matcher for the 12-vertex graph, where a 12!-filter is out of reach).
 Each test also enforces its wall-clock budget.
@@ -14,6 +14,7 @@ from itertools import islice
 
 from amoebagraph import (
     EdgeReplacement,
+    LabeledGraph,
     Permutation,
     automorphism_group,
     check_fixed_wreath_embedding,
@@ -252,6 +253,26 @@ def test_doubled_binary_family_gives_a_ten_label_local_amoeba():
     assert fer.order == math.factorial(10)
     assert sympy_order(fer) == math.factorial(10)
     assert time.perf_counter() - started < 120
+
+
+def test_worst_case_shapes_finish_with_exact_orders():
+    """Shapes with huge automorphism groups, held by generators: Fer, Fer^i, hang."""
+    labels = tuple(str(k) for k in range(1, 31))
+    matching = LabeledGraph(labels, tuple(zip(labels[::2], labels[1::2])))
+    f = math.factorial
+    shapes = [
+        (family("complete", 10), (f(10), f(9), f(10))),
+        (LabeledGraph(labels), (f(30), f(29), f(30))),
+        (family("complete", 30), (f(30), f(29), f(30))),
+        (matching, (2**15 * f(15), 2**14 * f(14), 2**15 * f(15))),
+    ]
+    for g, orders in shapes:
+        started = time.perf_counter()
+        first = g.labels[0]
+        groups = (fer_group(g), fer_fixed_group(g, first), hang_group(g, first))
+        assert tuple(group.order for group in groups) == orders
+        assert time.perf_counter() - started < 5
+        assert tuple(sympy_order(group) for group in groups) == orders
 
 
 def test_order_eight_wreath_subgroup_is_maximal_in_s4():

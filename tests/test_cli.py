@@ -134,6 +134,26 @@ def test_fer_prints_order_generators_and_orbits(capsys, tmp_path):
     assert "generators (" in out
 
 
+def test_fer_prints_generators_not_the_listed_group(capsys, tmp_path):
+    """K8 has 8! automorphisms; the printed generators are few and generate the printed order."""
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+
+    from amoebagraph import parse_cycles
+
+    g = family("complete", 8)
+    code, out, _ = run_cli(capsys, ["fer", write_graph(tmp_path, g)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "fer group: order 40320"
+    count = int(lines[2].removeprefix("generators (").removesuffix("):"))
+    assert 1 <= count <= 28 and len(lines) == 3 + count
+    index = {label: k for k, label in enumerate(g.labels)}
+    gens = [parse_cycles(line.strip(), g.labels) for line in lines[3:]]
+    sym = SymGroup([SymPerm([index[p(x)] for x in g.labels]) for p in gens])
+    assert int(sym.order()) == 40320
+
+
 def test_fer_json_includes_orbits(capsys, tmp_path):
     path = write_graph(tmp_path, family("path", 3))
     code, out, _ = run_cli(capsys, ["fer", path, "--format", "json"])

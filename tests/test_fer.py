@@ -345,14 +345,44 @@ def test_leaf_extension_into_a_bridged_union():
             assert extended.images in egs
 
 
+# ------------------------------------------- differential: listed E_G routes
+
+
+def assert_same_group(a, b):
+    """Equal order, and every generator of each is a member of the other."""
+    assert a.order == b.order
+    assert all(contains(a, p) for p in b.generators)
+    assert all(contains(b, p) for p in a.generators)
+
+
+def test_groups_from_representatives_match_the_listed_generating_sets():
+    """Fer, Fer^i and hang groups against <E_G>, <E^i_G>, <E^i_G ∪ Aut>: corpus(1..6)."""
+    for n in range(1, 7):
+        for g in corpus(n):
+            labels = g.labels
+            assert_same_group(
+                fer_group(g), group_from_generators(generating_set(g), domain=labels)
+            )
+            aut = fer_coset(g, EdgeReplacement()).perms
+            for i in labels:
+                fixed = fixed_generating_set(g, i)
+                assert_same_group(
+                    fer_fixed_group(g, i), group_from_generators(fixed, domain=labels)
+                )
+                assert_same_group(
+                    hang_group(g, i), group_from_generators(fixed + aut, domain=labels)
+                )
+
+
 # ----------------------------------------------------------------------- memo
 
 
-def test_aut_is_listed_once_per_distinct_unrooted_graph(monkeypatch):
-    """Every 5-vertex class at every root: Aut of G and of G plus an isolated vertex.
+def test_classifying_every_root_never_lists_aut(monkeypatch):
+    """Every 5-vertex class at every root, with Aut held as generators only.
 
-    34 classes give 68 distinct unrooted graphs.  The labels are used by no
-    other test, so the process-wide memo starts cold for them.
+    The labels are used by no other test, so the process-wide memo starts
+    cold for them; the 68 distinct unrooted graphs (each class, and each
+    plus an isolated vertex) once listed Aut(G) 68 times.
     """
     import amoebagraph.fer as fer_module
     import amoebagraph.lgraph as lgraph_module
@@ -371,4 +401,16 @@ def test_aut_is_listed_once_per_distinct_unrooted_graph(monkeypatch):
     fresh = {str(k): f"aut-memo-{k}" for k in range(1, 6)}
     for g in corpus(5, rooted=True):
         classify_graph(relabel(g, fresh))
-    assert len(listings) == len(set(listings)) == 68
+    assert listings == []
+
+
+def test_large_fer_groups_have_few_generators():
+    """K8 and K1,8 have 8! automorphisms and no feasible swap; Fer keeps 7 generators."""
+    k8 = family("complete", 8)
+    star8 = LabeledGraph(
+        tuple("012345678"), tuple(("0", str(k)) for k in range(1, 9))
+    )
+    for g in (k8, star8):
+        group = fer_group(g)
+        assert group.order == 40320
+        assert len(group.generators) == 7

@@ -14,6 +14,7 @@ from amoebagraph import (
     LabeledGraph,
     Permutation,
     are_isomorphic,
+    automorphism_generators,
     automorphism_group,
     compose,
     corpus,
@@ -21,6 +22,7 @@ from amoebagraph import (
     embed,
     example,
     family,
+    first_isomorphism,
     from_json,
     label_isomorphisms,
     parse_cycles,
@@ -236,6 +238,30 @@ def test_label_isomorphisms_of_every_five_vertex_class_match_the_brute_filter():
         assert {p.images for p in label_isomorphisms(g, g)} == {
             p.images for p in brute_automorphisms(g)
         }
+
+
+def test_automorphism_generators_generate_the_brute_automorphism_group():
+    """Strong generators against the n! filter: corpus(1..6) and small examples."""
+    graphs = [g for n in range(1, 7) for g in corpus(n)]
+    graphs += [
+        example(name)
+        for name in ("fig1", "hang_symm_8", "counterexample_G", "counterexample_H")
+    ]
+    for g in graphs:
+        gens = automorphism_generators(g)
+        assert all(embed(g, p).edges == g.edges for p in gens)
+        assert automorphism_group(g).order == len(brute_automorphisms(g))
+
+
+def test_first_isomorphism_honours_the_forced_pairs():
+    p4 = family("path", 4).unrooted()
+    assert first_isomorphism(p4, p4, (("1", "4"),)) == parse_cycles("(1 4)(2 3)", p4.labels)
+    assert first_isomorphism(p4, p4, (("1", "2"),)) is None  # a leaf onto an inner vertex
+    assert first_isomorphism(p4, p4, (("2", "2"), ("1", "4"))) is None
+    moved = p4.remove_edge("1", "2").add_edge("1", "3")  # a star, not a path
+    assert first_isomorphism(moved, p4) is None
+    with pytest.raises(GraphError):
+        first_isomorphism(p4, family("path", 5).unrooted())
 
 
 def degree_profile(g):
