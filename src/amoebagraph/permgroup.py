@@ -97,6 +97,10 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation(domain={self.domain!r}, images={self.images!r})"
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor, not __setattr__
+        return (Permutation, (self.domain, self.images))
+
     @property
     def images(self) -> tuple:
         images = self._images

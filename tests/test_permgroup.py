@@ -136,6 +136,18 @@ def test_cycle_notation():
     assert cycle_notation(parse_cycles("(1 4)(2 3)", dom4)) == "(1 4)(2 3)"
 
 
+def test_permutations_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    p = perm("(1 2 3)")
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert q == p and q.images == ("2", "3", "1") and q("3") == "1"
+    g = symmetric_group(DOM3)
+    g.order
+    assert pickle.loads(pickle.dumps(g)).order == 6
+
+
 def test_parse_cycles_rejects_garbage():
     for text in ("(1 2", "(1 1)", "(1 9)", "(1 2)(2 3)"):
         with pytest.raises(PermutationError):
