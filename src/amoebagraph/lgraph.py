@@ -28,6 +28,7 @@ from .permgroup import (
     PermutationError,
     PermutationGroup,
     _index_of,
+    _unchecked,
     flat,
     group_from_generators,
     label_key,
@@ -252,8 +253,9 @@ def label_isomorphisms(h: LabeledGraph, g: LabeledGraph) -> tuple:
     if set(h.labels) != set(g.labels):
         raise GraphError("label sets differ; no permutation can relate the graphs")
     position = _index_of(h.labels)
-    found = sorted(_isomorphisms(h, g), key=lambda t: [position[y] for y in t])
-    return tuple(Permutation(h.labels, t) for t in found)
+    # Each match is a bijection onto h.labels, so its positions need no check.
+    found = sorted(tuple(position[y] for y in t) for t in _isomorphisms(h, g))
+    return tuple(_unchecked(h.labels, perm) for perm in found)
 
 
 def are_isomorphic(h: LabeledGraph, g: LabeledGraph) -> bool:
