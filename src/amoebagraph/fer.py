@@ -6,6 +6,13 @@ original.  Fer_G(e1 -> e2) is the set of permutations whose embedding
 realizes the replaced graph; it is a left coset of Aut(G).  The union E_G
 of all cosets generates the group Fer(G).
 
+The feasible search runs the isomorphism test only on swaps that keep two
+invariants every isomorphism keeps, each checked in constant time: the
+degree multiset, which changes only at the swap's endpoints, and the number
+of components, which changes only when e1 is a bridge of G or e2 joins two
+components of G - e1 (labelled once per removed edge).  Dropping only swaps
+that change an invariant keeps the search exact.
+
 Each unrooted graph has one memo record, built on first use.  It holds the
 groups by generators, so no group is listed: strong generators of Aut(G),
 the feasible list, one representative of each feasible coset, and Fer(G)
@@ -149,6 +156,25 @@ class FerCoset:
         }
 
 
+def _components_without(g: LabeledGraph, removed: tuple) -> dict:
+    """Each label's component number in g minus the edge removed."""
+    component = {}
+    number = 0
+    for start in g.labels:
+        if start in component:
+            continue
+        number += 1
+        component[start] = number
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in g.neighbors(x):
+                if y not in component and removed not in ((x, y), (y, x)):
+                    component[y] = number
+                    stack.append(y)
+    return component
+
+
 class _GraphMemo:
     """Everything fer derives from one unrooted graph, each part built once.
 
@@ -181,11 +207,27 @@ class _GraphMemo:
     @cached_property
     def feasible(self) -> tuple:
         g = self.g
+        degree = {x: g.degree(x) for x in g.labels}
         replacements = [EdgeReplacement()]
         absent = g.non_edges()
         for removed in g.edges:
-            base = g.remove_edge(*removed)
+            a, b = removed
+            component = _components_without(g, removed)
+            bridge = component[a] != component[b]
+            base = None
             for added in absent:
+                c, d = added
+                # Skip swaps that change the component count or degree multiset.
+                if bridge != (component[c] != component[d]):
+                    continue
+                change = {a: -1, b: -1}
+                change[c] = change.get(c, 0) + 1
+                change[d] = change.get(d, 0) + 1
+                before = sorted(degree[x] for x in change)
+                if before != sorted(degree[x] + s for x, s in change.items()):
+                    continue
+                if base is None:
+                    base = g.remove_edge(*removed)
                 if are_isomorphic(base.add_edge(*added), g):
                     replacements.append(EdgeReplacement(removed, added))
         return tuple(replacements)

@@ -37,18 +37,26 @@ def _mapped_state(mapping: dict, edges) -> tuple:
     return _canonical_state((mapping[u], mapping[v]) for u, v in edges)
 
 
-def brute_automorphisms(g: LabeledGraph) -> list:
-    """Aut(g) by filtering all n! permutations (n <= 8)."""
-    if len(g.labels) > COSET_LIMIT:
-        raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
-    # A bijection sending every edge to an edge sends the edge set onto itself.
+def _edge_filter(g: LabeledGraph, source_edges) -> list:
+    """Every permutation of g's labels that maps each source edge to an edge of g.
+
+    With as many source edges as g has edges, a bijection sending every one
+    of them to an edge of g sends them onto g's edge set.
+    """
     edges = {frozenset(e) for e in g.edges}
     found = []
     for images in all_orderings(g.labels):
         mapping = dict(zip(g.labels, images))
-        if all(frozenset((mapping[u], mapping[v])) in edges for u, v in g.edges):
+        if all(frozenset((mapping[u], mapping[v])) in edges for u, v in source_edges):
             found.append(Permutation(g.labels, images))
     return found
+
+
+def brute_automorphisms(g: LabeledGraph) -> list:
+    """Aut(g) by filtering all n! permutations (n <= 8)."""
+    if len(g.labels) > COSET_LIMIT:
+        raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
+    return _edge_filter(g, g.edges)
 
 
 def brute_coset(g: LabeledGraph, r: EdgeReplacement) -> list:
@@ -59,13 +67,7 @@ def brute_coset(g: LabeledGraph, r: EdgeReplacement) -> list:
     """
     if len(g.labels) > COSET_LIMIT:
         raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
-    target = _canonical_state(apply_replacement(g.unrooted(), r).edges)
-    found = []
-    for images in all_orderings(g.labels):
-        mapping = dict(zip(g.labels, images))
-        if _mapped_state(mapping, target) == _canonical_state(g.edges):
-            found.append(Permutation(g.labels, images))
-    return found
+    return _edge_filter(g, apply_replacement(g.unrooted(), r).edges)
 
 
 @dataclass(frozen=True)

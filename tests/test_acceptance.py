@@ -1,6 +1,6 @@
 """End-to-end acceptance suite.
 
-Thirteen headline checks, one test each, in a fixed order; `pytest -v`
+Fourteen headline checks, one test each, in a fixed order; `pytest -v`
 prints one pass/fail line per check.  Every frozen order here was computed
 twice: once by the Sims-table engine under test and once by an independent
 route (the n!-filter oracle, the reachability BFS, sympy, or networkx's
@@ -22,6 +22,7 @@ from amoebagraph import (
     check_hang_correspondence,
     check_theorem3,
     check_wreath_embedding,
+    classify_graph,
     comb_product,
     compose,
     contains,
@@ -255,16 +256,26 @@ def test_doubled_binary_family_gives_a_ten_label_local_amoeba():
     assert time.perf_counter() - started < 120
 
 
+def star_graph(labels) -> LabeledGraph:
+    """K1,n-1 with centre labels[0]."""
+    return LabeledGraph(labels, tuple((labels[0], x) for x in labels[1:]))
+
+
 def test_worst_case_shapes_finish_with_exact_orders():
     """Shapes with huge automorphism groups, held by generators: Fer, Fer^i, hang."""
     labels = tuple(str(k) for k in range(1, 31))
     matching = LabeledGraph(labels, tuple(zip(labels[::2], labels[1::2])))
+    cycle = LabeledGraph(labels, tuple(zip(labels, labels[1:] + labels[:1])))
+    bipartite = LabeledGraph(labels, tuple((a, b) for a in labels[:15] for b in labels[15:]))
     f = math.factorial
     shapes = [
         (family("complete", 10), (f(10), f(9), f(10))),
         (LabeledGraph(labels), (f(30), f(29), f(30))),
         (family("complete", 30), (f(30), f(29), f(30))),
         (matching, (2**15 * f(15), 2**14 * f(14), 2**15 * f(15))),
+        (star_graph(labels), (f(29), f(29), f(29))),
+        (cycle, (60, 2, 60)),
+        (bipartite, (2 * f(15) ** 2, f(14) * f(15), 2 * f(15) ** 2)),
     ]
     for g, orders in shapes:
         started = time.perf_counter()
@@ -273,6 +284,15 @@ def test_worst_case_shapes_finish_with_exact_orders():
         assert tuple(group.order for group in groups) == orders
         assert time.perf_counter() - started < 5
         assert tuple(sympy_order(group) for group in groups) == orders
+
+
+def test_worst_case_shapes_classify_in_bounded_time():
+    """K30 and K1,29, rooted at "1": the global check searches each plus an isolated label."""
+    labels = tuple(str(k) for k in range(1, 31))
+    for g in (family("complete", 30).with_root("1"), star_graph(labels).with_root("1")):
+        started = time.perf_counter()
+        classify_graph(g)
+        assert time.perf_counter() - started < 5
 
 
 def test_order_eight_wreath_subgroup_is_maximal_in_s4():

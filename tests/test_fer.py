@@ -39,7 +39,8 @@ from amoebagraph import (
     symmetric_group,
     wreath_product,
 )
-from amoebagraph.permgroup import label_key
+from amoebagraph.construct import EXAMPLE_NAMES
+from amoebagraph.permgroup import flat, label_key
 
 P2_STAR = LabeledGraph(("1", "2", "3"), (("1", "2"),))  # P2 plus an isolated label
 
@@ -122,6 +123,68 @@ def test_feasibility_matches_isomorphism_definition():
                 if are_isomorphic(candidate, g):
                     brute.add((e, f))
         assert listed == brute
+
+
+def test_feasible_search_matches_networkx_on_every_candidate():
+    """No swap the degree and component filters drop is feasible by VF2.
+
+    Every (edge, absent pair) is tried with networkx, unfiltered, on the
+    5-vertex classes, each also with an isolated label (where the component
+    test decides), paths 2-8 and the named examples of at most 8 labels.
+    """
+    import networkx as nx
+
+    def nx_graph(h):
+        graph = nx.Graph()
+        graph.add_nodes_from(h.labels)
+        graph.add_edges_from(h.edges)
+        return graph
+
+    graphs = []
+    for g in corpus(5):
+        graphs += [g, LabeledGraph(g.labels + ("6",), g.edges)]
+    graphs += [family("path", n).unrooted() for n in range(2, 9)]
+    for name in EXAMPLE_NAMES:
+        g = example(name).unrooted()
+        if len(g.labels) <= 8:
+            graphs.append(g)
+    for g in graphs:
+        target = nx_graph(g)
+        brute = [EdgeReplacement()] + [
+            EdgeReplacement(e, f)
+            for e in g.edges
+            for f in g.non_edges()
+            if nx.is_isomorphic(nx_graph(g.remove_edge(*e).add_edge(*f)), target)
+        ]
+        assert feasible_replacements(g) == tuple(brute)
+
+
+def test_feasible_search_isomorphism_calls_are_pinned(monkeypatch):
+    """The filters leave 83, 126 and 19 candidates for the isomorphism test.
+
+    Fresh labels keep the process-wide memo cold.  The unfiltered search
+    tests 11,774, 728 and 224 candidates.
+    """
+    import amoebagraph.fer as fer_module
+    from amoebagraph import relabel
+
+    original = fer_module.are_isomorphic
+    calls = []
+
+    def counted(h, g):
+        calls.append(h)
+        return original(h, g)
+
+    monkeypatch.setattr(fer_module, "are_isomorphic", counted)
+    for g, expected in (
+        (family("path", 30), 83),
+        (example("counterexample_GH_labeled"), 126),
+        (family("b_family", 3), 19),
+    ):
+        fresh = relabel(g.unrooted(), {x: f"iso-pin-{flat(x)}" for x in g.labels})
+        calls.clear()
+        feasible_replacements(fresh)
+        assert len(calls) == expected
 
 
 # --------------------------------------------------------------------- cosets
