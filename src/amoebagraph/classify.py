@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .construct import comb_product, dagger, fresh_label
+from .construct import comb_product, dagger, star
 from .fer import (
     aut_generators,
     feasible_replacements,
@@ -51,11 +51,6 @@ def _pick_root(g: LabeledGraph, given):
     return given
 
 
-def _with_isolated(g: LabeledGraph) -> LabeledGraph:
-    """g plus a fresh isolated vertex (rooted or not)."""
-    return LabeledGraph(g.labels + (fresh_label(g.labels, "*"),), g.edges, g.root)
-
-
 def is_local_amoeba(g: LabeledGraph) -> bool:
     """Whether Fer(G) is all of Sym(labels)."""
     return is_symmetric(fer_group(g))
@@ -63,7 +58,7 @@ def is_local_amoeba(g: LabeledGraph) -> bool:
 
 def is_global_amoeba(g: LabeledGraph) -> bool:
     """Whether G plus a fresh isolated vertex is a local amoeba."""
-    return is_local_amoeba(_with_isolated(g))
+    return is_local_amoeba(star(g))
 
 
 def is_stem_symmetric(g: LabeledGraph, b=None) -> bool:
@@ -105,7 +100,7 @@ def check_theorem3(g: LabeledGraph, i=None) -> tuple:
     c: every orbit of Fer^i(G) away from i contains a label of degree <= 1.
     """
     i = _pick_root(g, i)
-    starred = _with_isolated(g)
+    starred = star(g)
     a = is_stem_symmetric(starred, i)
     b = is_stem_transitive(starred, i)
     low = {x for x in g.labels if g.degree(x) <= 1}
@@ -119,7 +114,7 @@ def check_theorem3(g: LabeledGraph, i=None) -> tuple:
 
 def check_global_transitive(g: LabeledGraph) -> tuple:
     """(global amoeba?, Fer of G-plus-isolated-vertex transitive?); must agree."""
-    starred = _with_isolated(g)
+    starred = star(g)
     return (is_local_amoeba(starred), is_transitive(fer_group(starred)))
 
 

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Verbs: classify, fer, orbits, comb, family, example, oracle, check.
-Exit codes: 0 success/pass, 1 falsification, 2 usage error, 3 size guard.
-"-" means standard input/output.  AMOEBA_MAX_N overrides the size guards
-(default 30 for the group engine, 6 for the oracle).
+Exit codes: 0 success/pass, 1 falsification, 2 usage or I/O error, 3 size
+guard.  "-" means standard input/output.  AMOEBA_MAX_N overrides the size
+guards (default 30 for the group engine and family, 6 for the oracle).
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ def _limit(args, default: int) -> int:
 
 
 def _read_graph(path: str, limit: int) -> LabeledGraph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
-            raise FormatError(f"cannot read {path}: {err.strerror}") from None
+    except OSError as err:
+        raise FormatError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"cannot read {path}: not UTF-8 text") from None
     try:
         g = from_json(text)
     except FormatError as err:
@@ -76,8 +78,11 @@ def _write(text: str, out) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            raise FormatError(f"cannot write {out}: {err.strerror}") from None
 
 
 def _emit_graph(g: LabeledGraph, args) -> None:
@@ -174,7 +179,17 @@ def _do_comb(args) -> int:
 
 
 def _do_family(args) -> int:
-    g = construct.family(args.name, args.n, root=args.root)
+    limit, n = _limit(args, ENGINE_LIMIT), args.n
+    if args.name != "cube" and n is not None and n >= 1:
+        size = n
+        if args.name in ("a_family", "b_family") and n <= limit:
+            # 2**n > n, so an n over the guard is refused before 2**n is formed.
+            size = 2**n + (args.name == "b_family")
+        if size > limit:
+            raise oracle.SizeGuardError(
+                f"family {args.name} {n} has more than {limit} labels, exceeding the guard"
+            )
+    g = construct.family(args.name, n, root=args.root)
     _emit_graph(g, args)
     return 0
 

@@ -22,9 +22,7 @@ def fresh_label(labels, prefix: str) -> str:
 
 
 def star(g: LabeledGraph) -> LabeledGraph:
-    """G*: g plus a fresh isolated vertex; the root carries over."""
-    if g.root is None:
-        raise GraphError("star needs a rooted graph")
+    """G*: g plus a fresh isolated vertex; the root, if any, carries over."""
     return LabeledGraph(g.labels + (fresh_label(g.labels, "*"),), g.edges, g.root)
 
 

@@ -13,21 +13,21 @@ of components, which changes only when e1 is a bridge of G or e2 joins two
 components of G - e1 (labelled once per removed edge).  Dropping only swaps
 that change an invariant keeps the search exact.
 
-Each unrooted graph has one memo record, built on first use.  It holds the
-groups by generators, so no group is listed: strong generators of Aut(G),
-the feasible list, one representative of each feasible coset, and Fer(G)
-generated by both.  Per label i it holds one transversal of i's Aut-orbit,
-which gives generators of the stabilizer Aut_i and, for each coset that
-meets the stabilizer of i, a member fixing i; the fixed group and the hang
-group come from those.  The explicit cosets, E_G and E^i_G are listed only
-when asked for.  Queries over every root choice of one graph share the
-record.
+Each label set and edge set has one memo record, built on first use and
+found without rebuilding the graph, so every root choice of one graph
+shares it.  It holds the groups by generators, so no group is listed:
+strong generators of Aut(G), and one pass over the swaps that keeps each
+feasible replacement with one member of its coset; Fer(G) is generated by
+both.  One entry per label i holds the fixed group and the hang group,
+generated from the members of the cosets that a transversal of i's
+Aut-orbit turns into members fixing i.  The explicit cosets, E_G and E^i_G
+are listed only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .lgraph import (
@@ -176,23 +176,24 @@ def _components_without(g: LabeledGraph, removed: tuple) -> dict:
 
 
 class _GraphMemo:
-    """Everything fer derives from one unrooted graph, each part built once.
+    """Everything fer derives from one label set and edge set, each part built once.
 
-    Every coset is Aut(G)∘σ for any one member σ, so Fer(G) is generated by
-    Aut(G)'s generators and one σ_r per feasible replacement r.  For a label
-    i with transversal u_j (u_j(i) = j) of its Aut-orbit, the members of
-    coset r fixing i are Aut_i∘τ_r with τ_r = u_j^-1∘σ_r, j = σ_r(i), when
-    j lies in the orbit, and there are none otherwise.  Hence Fer^i(G) is
-    generated by Aut_i and the τ_r, and the hang group by Aut(G) and the τ_r.
+    Roots play no part, so graphs that differ only in their root share one
+    record.  Every coset is Aut(G)∘σ for any one member σ, so Fer(G) is
+    generated by Aut(G)'s generators and one σ_r per feasible replacement r,
+    found on the replaced graph the feasible search has just built.  For a
+    label i with transversal u_j (u_j(i) = j) of its Aut-orbit, the members
+    of coset r fixing i are Aut_i∘τ_r with τ_r = u_j^-1∘σ_r, j = σ_r(i),
+    when j lies in the orbit, and there are none otherwise.  Hence Fer^i(G)
+    is generated by Aut_i and the τ_r, and the hang group by Aut(G) and the
+    τ_r; one entry per label holds both.
     """
 
     def __init__(self, g: LabeledGraph):
         self.g = g
         self.cosets = {}
         self.fixed_sets = {}
-        self.stabilizers = {}
-        self.fixed_groups = {}
-        self.hang_groups = {}
+        self.groups_at = {}
 
     def coset(self, r: EdgeReplacement) -> FerCoset:
         if r not in self.cosets:
@@ -205,10 +206,11 @@ class _GraphMemo:
         return self.cosets[r]
 
     @cached_property
-    def feasible(self) -> tuple:
+    def swaps(self) -> dict:
+        """Each non-neutral feasible replacement r, in edge order, to σ_r."""
         g = self.g
         degree = {x: g.degree(x) for x in g.labels}
-        replacements = [EdgeReplacement()]
+        swaps = {}
         absent = g.non_edges()
         for removed in g.edges:
             a, b = removed
@@ -228,30 +230,23 @@ class _GraphMemo:
                     continue
                 if base is None:
                     base = g.remove_edge(*removed)
-                if are_isomorphic(base.add_edge(*added), g):
-                    replacements.append(EdgeReplacement(removed, added))
-        return tuple(replacements)
+                replaced = base.add_edge(*added)
+                if are_isomorphic(replaced, g):
+                    swaps[EdgeReplacement(removed, added)] = first_isomorphism(replaced, g)
+        return swaps
 
     @cached_property
     def aut_gens(self) -> tuple:
         return automorphism_generators(self.g)
 
     @cached_property
-    def representatives(self) -> tuple:
-        """One member σ_r of each non-neutral feasible coset, in replacement order."""
-        g = self.g
-        return tuple(
-            first_isomorphism(apply_replacement(g, r), g) for r in self.feasible[1:]
-        )
-
-    @cached_property
     def generating_set(self) -> tuple:
         # The cosets are disjoint: g - e1 + e2 determines e1 and e2.
-        return tuple(p for r in self.feasible for p in self.coset(r).perms)
+        return tuple(p for r in (EdgeReplacement(), *self.swaps) for p in self.coset(r).perms)
 
     @cached_property
     def group(self) -> PermutationGroup:
-        gens = self.aut_gens + self.representatives
+        gens = self.aut_gens + tuple(self.swaps.values())
         return group_from_generators(gens, domain=self.g.labels)
 
     def fixed_set(self, i) -> tuple:
@@ -259,74 +254,69 @@ class _GraphMemo:
             self.fixed_sets[i] = tuple(p for p in self.generating_set if p(i) == i)
         return self.fixed_sets[i]
 
-    def stabilizer(self, i) -> tuple:
-        """Generators of Aut_i, and the members τ_r of the cosets that fix i."""
-        if i not in self.stabilizers:
-            u = transversal(self.aut_gens, self.g.labels, i)
+    def at(self, i) -> tuple:
+        """Fer^i(G) and the hang group at i, both generated with the τ_r."""
+        if i not in self.groups_at:
+            labels = self.g.labels
+            u = transversal(self.aut_gens, labels, i)
             aut_i = schreier_generators(self.aut_gens, u, i)
-            taus = tuple(strip(u, i, s) for s in self.representatives if s(i) in u)
-            self.stabilizers[i] = (aut_i, taus)
-        return self.stabilizers[i]
-
-    def fixed_group(self, i) -> PermutationGroup:
-        if i not in self.fixed_groups:
-            aut_i, taus = self.stabilizer(i)
-            self.fixed_groups[i] = group_from_generators(aut_i + taus, domain=self.g.labels)
-        return self.fixed_groups[i]
-
-    def hang_group(self, i) -> PermutationGroup:
-        if i not in self.hang_groups:
-            gens = self.aut_gens + self.stabilizer(i)[1]
-            self.hang_groups[i] = group_from_generators(gens, domain=self.g.labels)
-        return self.hang_groups[i]
+            taus = tuple(strip(u, i, s) for s in self.swaps.values() if s(i) in u)
+            self.groups_at[i] = (
+                group_from_generators(aut_i + taus, domain=labels),
+                group_from_generators(self.aut_gens + taus, domain=labels),
+            )
+        return self.groups_at[i]
 
 
-@lru_cache(maxsize=None)
-def _memo(g: LabeledGraph) -> _GraphMemo:
-    return _GraphMemo(g)
+_records = {}
 
 
-def _memo_at(g: LabeledGraph, i) -> _GraphMemo:
-    if i not in set(g.labels):
-        raise GraphError(f"unknown label {flat(i)!r}")
-    return _memo(g.unrooted())
+def _memo(g: LabeledGraph, *asked) -> _GraphMemo:
+    """The record of g's labels and edges; each asked label must be one of them."""
+    for i in asked:
+        if i not in set(g.labels):
+            raise GraphError(f"unknown label {flat(i)!r}")
+    key = (g.labels, g.edges)
+    if key not in _records:
+        _records[key] = _GraphMemo(g)
+    return _records[key]
 
 
 def aut_generators(g: LabeledGraph) -> tuple:
     """Strong generators of Aut(G) (lgraph.automorphism_generators), kept per graph."""
-    return _memo(g.unrooted()).aut_gens
+    return _memo(g).aut_gens
 
 
 def feasible_replacements(g: LabeledGraph) -> tuple:
     """The neutral replacement plus every feasible edge swap, in edge order."""
-    return _memo(g.unrooted()).feasible
+    return (EdgeReplacement(), *_memo(g).swaps)
 
 
 def fer_coset(g: LabeledGraph, r: EdgeReplacement) -> FerCoset:
     """Fer_G(removed -> added): every p with embed(g, p) = g - removed + added."""
-    return _memo(g.unrooted()).coset(r)
+    return _memo(g).coset(r)
 
 
 def generating_set(g: LabeledGraph) -> tuple:
     """E_G: the feasible cosets, concatenated in replacement order (neutral first)."""
-    return _memo(g.unrooted()).generating_set
+    return _memo(g).generating_set
 
 
 def fer_group(g: LabeledGraph) -> PermutationGroup:
     """Fer(G) = <E_G>, the feasible edge-replacement group."""
-    return _memo(g.unrooted()).group
+    return _memo(g).group
 
 
 def fixed_generating_set(g: LabeledGraph, i) -> tuple:
     """E^i_G: the members of E_G fixing label i."""
-    return _memo_at(g, i).fixed_set(i)
+    return _memo(g, i).fixed_set(i)
 
 
 def fer_fixed_group(g: LabeledGraph, i) -> PermutationGroup:
     """Fer^i(G) = <E^i_G>."""
-    return _memo_at(g, i).fixed_group(i)
+    return _memo(g, i).at(i)[0]
 
 
 def hang_group(g: LabeledGraph, i) -> PermutationGroup:
     """The hang group <E^i_G ∪ Aut(G)>."""
-    return _memo_at(g, i).hang_group(i)
+    return _memo(g, i).at(i)[1]

@@ -97,6 +97,21 @@ def test_classify_malformed_json_names_the_path(capsys, tmp_path):
     assert "broken.json" in err
 
 
+def test_classify_non_utf8_file_is_a_usage_error_naming_the_path(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, ["classify", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+def test_unwritable_output_is_a_usage_error_naming_the_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, ["family", "path", "3", "--out", str(target)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 # ------------------------------------------------------------------ pipelines
 
 
@@ -352,6 +367,26 @@ def test_max_n_flag_tightens_the_guard(capsys, tmp_path):
     path = write_graph(tmp_path, family("path", 4))
     code, _, err = run_cli(capsys, ["--max-n", "3", "classify", path])
     assert code == 3 and "exceeds the guard of 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["family", "complete", "31"], 3),
+        (["--max-n", "40", "family", "complete", "31"], 0),
+        (["family", "a_family", "6"], 3),  # 64 labels
+        (["family", "b_family", "5"], 3),  # 33 labels
+        (["family", "b_family", "4"], 0),  # 17 labels
+        (["family", "a_family", "10000000000"], 3),  # refused before 2**n is formed
+    ],
+)
+def test_family_respects_the_size_guard(capsys, argv, code):
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    if code == 3:
+        assert out == "" and "exceeding the guard" in err
+    else:
+        assert err == "" and from_json(out)
 
 
 def test_env_override_tightens_the_guard(capsys, tmp_path, monkeypatch):

@@ -37,8 +37,9 @@ def test_star_adds_one_isolated_vertex():
     assert len(s.labels) == 3 and s.edges == g.edges
     assert s.isolated() == ("*1",) and s.root == g.root
     assert star(s).isolated() == ("*1", "*2")
-    with pytest.raises(GraphError):
-        star(g.unrooted())
+    unrooted = star(g.unrooted())
+    assert unrooted.isolated() == ("*1",) and unrooted.root is None
+    assert unrooted.edges == g.edges
 
 
 def test_dagger_hangs_a_leaf_at_the_root():

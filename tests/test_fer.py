@@ -25,6 +25,7 @@ from amoebagraph import (
     example,
     family,
     feasible_replacements,
+    first_isomorphism,
     fer_coset,
     fer_fixed_group,
     fer_group,
@@ -465,6 +466,36 @@ def test_classifying_every_root_never_lists_aut(monkeypatch):
     for g in corpus(5, rooted=True):
         classify_graph(relabel(g, fresh))
     assert listings == []
+
+
+def test_kept_coset_members_are_the_first_isomorphisms():
+    """Fer(G)'s generators after Aut(G)'s are these σ_r, so this pins `amoeba fer`."""
+    import amoebagraph.fer as fer_module
+
+    graphs = [g for n in range(1, 7) for g in corpus(n)]
+    graphs += [family("path", n) for n in range(2, 13)]
+    graphs += [example(name) for name in EXAMPLE_NAMES]
+    for g in graphs:
+        for r, sigma in fer_module._memo(g).swaps.items():
+            assert sigma == first_isomorphism(apply_replacement(g, r), g)
+
+
+def test_classifying_every_root_never_rebuilds_the_graph(monkeypatch):
+    """The memo is found by labels and edges, never through g.unrooted()."""
+    from amoebagraph import classify_graph
+
+    original = LabeledGraph.unrooted
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    rooted = list(corpus(5, rooted=True))
+    monkeypatch.setattr(LabeledGraph, "unrooted", counted)
+    for g in rooted:
+        classify_graph(g)
+    assert calls == []
 
 
 def test_large_fer_groups_have_few_generators():
