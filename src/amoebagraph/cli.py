@@ -43,7 +43,7 @@ def _limit(args, default: int) -> int:
 def _read_graph(path: str, limit: int) -> LabeledGraph:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()

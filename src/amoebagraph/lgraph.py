@@ -9,16 +9,19 @@ One backtracking search answers every isomorphism question.  It matches
 the vertices of h in an order fixed up front (most matched neighbours, then
 highest degree, then first label), each to a vertex of g with the same
 degree and neighbour degrees that sees exactly the images of its matched
-neighbours.  are_isomorphic and first_isomorphism stop at the first match.
-Pairs forced up front let automorphism_generators find one automorphism
-per new orbit point along a base, a strong generating set of Aut(G) whose
-size grows with the number of labels, not with |Aut(G)|.
+neighbours.  The plan is built once per graph: h caches its order and g
+its candidate pools, and add_edge/remove_edge patch the parent's adjacency
+rather than re-validate.  are_isomorphic and first_isomorphism stop at the
+first match.  Pairs forced up front let automorphism_generators find one
+automorphism per new orbit point along its base, g's cached order: a
+strong generating set of Aut(G) whose size grows with the number of
+labels, not with |Aut(G)|.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -51,6 +54,10 @@ def _canonical_edge(u, v) -> tuple:
     return (u, v) if label_key(u) <= label_key(v) else (v, u)
 
 
+def _edge_key(edge) -> tuple:
+    return (label_key(edge[0]), label_key(edge[1]))
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Simple graph on a label set, with an optional root label."""
@@ -75,7 +82,7 @@ class LabeledGraph:
                 raise GraphError(f"duplicate edge {flat(pair[0])!r}-{flat(pair[1])!r}")
             seen.add(pair)
             canon.append(pair)
-        canon.sort(key=lambda e: (label_key(e[0]), label_key(e[1])))
+        canon.sort(key=_edge_key)
         if self.root is not None and self.root not in label_set:
             raise GraphError(f"root {flat(self.root)!r} is not a label")
         object.__setattr__(self, "labels", domain)
@@ -98,6 +105,28 @@ class LabeledGraph:
     @cached_property
     def _edge_set(self) -> frozenset:
         return frozenset(self.edges)
+
+    @cached_property
+    def _order(self) -> tuple:
+        """The unforced matching order, built once for every search on this graph."""
+        return tuple(_matching_order(self))
+
+    @cached_property
+    def _classes(self) -> dict:
+        """Each invariant to its labels in domain order: the candidate pools."""
+        classes = {}
+        for x in self.labels:
+            classes.setdefault(self._invariants[x], []).append(x)
+        return classes
+
+    def _edited(self, edges: list, pair: tuple, change) -> "LabeledGraph":
+        """A copy without __post_init__, its adjacency patched at pair's endpoints."""
+        u, v = pair
+        adj = dict(self._adjacency)
+        adj[u], adj[v] = change(adj[u], (v,)), change(adj[v], (u,))
+        g = object.__new__(LabeledGraph)
+        g.__dict__.update(labels=self.labels, edges=tuple(edges), root=self.root, _adjacency=adj)
+        return g
 
     def neighbors(self, x) -> frozenset:
         try:
@@ -135,14 +164,18 @@ class LabeledGraph:
             raise GraphError(f"edge endpoint not a label: {flat(u)!r}-{flat(v)!r}")
         if pair in self._edge_set:
             raise GraphError(f"edge {flat(u)!r}-{flat(v)!r} already present")
-        return LabeledGraph(self.labels, self.edges + (pair,), self.root)
+        edges = list(self.edges)
+        bisect.insort(edges, pair, key=_edge_key)
+        return self._edited(edges, pair, frozenset.union)
 
     def remove_edge(self, u, v) -> "LabeledGraph":
         """A copy with the edge removed; the edge must be present."""
         pair = _canonical_edge(u, v)
         if pair not in self._edge_set:
             raise GraphError(f"edge {flat(u)!r}-{flat(v)!r} not present")
-        return LabeledGraph(self.labels, tuple(e for e in self.edges if e != pair), self.root)
+        edges = list(self.edges)
+        edges.remove(pair)
+        return self._edited(edges, pair, frozenset.difference)
 
     def with_root(self, x) -> "LabeledGraph":
         return LabeledGraph(self.labels, self.edges, x)
@@ -184,16 +217,16 @@ def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> LabeledGraph:
 def _matching_order(h: LabeledGraph, first=()) -> list:
     """h's labels in search order: first, then by most matched neighbours,
     highest degree and first label."""
-    adj = h._adjacency
-    order = list(first)
-    placed_nbrs = Counter(u for v in order for u in adj[v])
-    skipped = set(order)
-    rest = [v for v in h.labels if v not in skipped]
-    while rest:
-        v = max(rest, key=lambda v: (placed_nbrs[v], len(adj[v])))
-        rest.remove(v)
-        order.append(v)
-        placed_nbrs.update(adj[v])
+    adj, n = h._adjacency, len(h.labels)
+    # One int ranks both keys, placed neighbours * n + degree, as degree < n.
+    score = {v: len(adj[v]) for v in h.labels}
+    order, rest = list(first), list(h.labels)
+    for k in range(n):
+        if k == len(order):
+            order.append(max(rest, key=score.__getitem__))
+        for u in adj[order[k]]:
+            score[u] += n
+        rest.remove(order[k])
     return order
 
 
@@ -207,19 +240,23 @@ def _isomorphisms(h: LabeledGraph, g: LabeledGraph, fixed=()):
     inv_h, inv_g = h._invariants, g._invariants
     if sorted(inv_h.values()) != sorted(inv_g.values()):
         return
-    # Which vertex comes next never depends on images, so one order serves every branch.
+    # Which vertex comes next never depends on images, so one order serves every
+    # branch, and h's cached order serves every search whose forced labels lead it.
     adj_h, adj_g = h._adjacency, g._adjacency
     index = _index_of(h.labels)
     forced = dict(fixed)
+    plan = h._order
+    if tuple(forced) != plan[: len(forced)]:
+        plan = _matching_order(h, forced)
     order, earlier, pools, placed = [], [], [], set()
-    for v in _matching_order(h, forced):
+    for v in plan:
         order.append(index[v])
         earlier.append(tuple(index[u] for u in adj_h[v] if u in placed))
         if v in forced:
             y = forced[v]
             pools.append([y] if inv_g.get(y) == inv_h[v] else [])
         else:
-            pools.append([w for w in g.labels if inv_g[w] == inv_h[v]])
+            pools.append(g._classes[inv_h[v]])
         placed.add(v)
     image = [None] * len(order)
     used = set()
@@ -282,7 +319,7 @@ def automorphism_generators(g: LabeledGraph) -> tuple:
     and sending v_k to w.  The generators from levels k to n-1 then
     generate the pointwise stabilizer of v_0..v_{k-1} (Sims).
     """
-    base = _matching_order(g)
+    base = g._order
     gens = []
     for k in reversed(range(len(base))):
         v = base[k]

@@ -7,11 +7,17 @@ next verb's stdin.
 
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
 from amoebagraph import LabeledGraph, family, from_json, to_json
 from amoebagraph.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 C4 = LabeledGraph(
     ("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4"), ("1", "4"))
@@ -20,7 +26,8 @@ C4 = LabeledGraph(
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        stream = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stream)
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -103,6 +110,21 @@ def test_classify_non_utf8_file_is_a_usage_error_naming_the_path(capsys, tmp_pat
     code, out, err = run_cli(capsys, ["classify", str(path)])
     assert code == 2 and out == ""
     assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+def test_non_utf8_stdin_is_the_same_usage_error_as_a_file_under_the_c_locale():
+    # The C locale decodes text-mode stdin with surrogateescape, which hid the
+    # bad byte; POSIX printf writes the byte 0xff as the octal escape \377.
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=SRC)
+    command = f"printf '\\377' | {shlex.quote(sys.executable)} -m amoebagraph.cli classify -"
+    done = subprocess.run(
+        ["sh", "-c", command],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr == b"error: cannot read -: not UTF-8 text\n"
 
 
 def test_unwritable_output_is_a_usage_error_naming_the_path(capsys, tmp_path):
