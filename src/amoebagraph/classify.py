@@ -15,8 +15,6 @@ from typing import Optional
 from .construct import comb_product, dagger, star
 from .fer import (
     aut_generators,
-    feasible_replacements,
-    fer_coset,
     fer_fixed_group,
     fer_group,
     hang_group,
@@ -159,20 +157,13 @@ def check_fixed_wreath_embedding(g: LabeledGraph, h: LabeledGraph) -> bool:
 
 
 def find_skew(gh: LabeledGraph, blocks) -> Optional[Permutation]:
-    """First member of E_G breaking the block partition, if any.
+    """First generator of Fer(gh), in `amoeba fer` order, that breaks the blocks.
 
-    None when every generator of Fer(gh) preserves the blocks, since then
-    the whole group does.  Otherwise searches the non-neutral cosets first,
-    then the automorphisms.
+    Each generator lies in E_G, and Fer(gh) = <E_G> keeps the blocks exactly
+    when every generator does, so None means no member of E_G breaks them.
     """
-    if all(preserves_partition(p, blocks) for p in fer_group(gh).generators):
-        return None
-    replacements = feasible_replacements(gh)
-    for r in replacements[1:] + replacements[:1]:
-        for p in fer_coset(gh, r).perms:
-            if not preserves_partition(p, blocks):
-                return p
-    return None
+    breakers = (p for p in fer_group(gh).generators if not preserves_partition(p, blocks))
+    return next(breakers, None)
 
 
 def check_big_corollary(g: LabeledGraph, h: LabeledGraph) -> str:

@@ -3,7 +3,7 @@
 Verbs: classify, fer, orbits, comb, family, example, oracle, check.
 Exit codes: 0 success/pass, 1 falsification, 2 usage or I/O error, 3 size
 guard.  "-" means standard input/output.  AMOEBA_MAX_N overrides the size
-guards (default 30 for the group engine and family, 6 for the oracle).
+guards (default 30, and oracle.REACH_LIMIT for the oracle verb).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .lgraph import FormatError, GraphError, LabeledGraph, from_json, to_dot, to
 from .permgroup import PermutationError, cycle_notation, flat, is_symmetric, orbits
 
 ENGINE_LIMIT = 30
-ORACLE_LIMIT = 6
 
 
 def _limit(args, default: int) -> int:
@@ -201,7 +200,7 @@ def _do_example(args) -> int:
 
 
 def _do_oracle(args) -> int:
-    g = _read_graph(args.file, _limit(args, ORACLE_LIMIT))
+    g = _read_graph(args.file, _limit(args, oracle.REACH_LIMIT))
     result = oracle.reachability(g)
     aut_size = len(oracle.brute_automorphisms(g))
     group = fer_group(g)
@@ -288,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=None,
-        help="override the size guard (default 30; 6 for the oracle verb)",
+        help=f"override the size guard (default 30; {oracle.REACH_LIMIT} for the oracle verb)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -340,14 +340,22 @@ def automorphism_group(g: LabeledGraph) -> PermutationGroup:
     return group_from_generators(automorphism_generators(g), domain=g.labels)
 
 
+def _flat_names(g: LabeledGraph) -> dict:
+    """Each label's dotted name; GraphError when two labels share one."""
+    by_name = {}
+    for x in g.labels:
+        if by_name.setdefault(flat(x), x) != x:
+            raise GraphError(f"two labels flatten to {flat(x)!r}")
+    return {x: name for name, x in by_name.items()}
+
+
 def to_json(g: LabeledGraph) -> str:
     """Serialize in the canonical JSON format (stable bytes)."""
-    edges = sorted(
-        [sorted((flat(u), flat(v))) for u, v in g.edges]
-    )
-    obj = {"labels": sorted(flat(x) for x in g.labels), "edges": edges}
+    names = _flat_names(g)
+    edges = sorted(sorted((names[u], names[v])) for u, v in g.edges)
+    obj = {"labels": sorted(names.values()), "edges": edges}
     if g.root is not None:
-        obj["root"] = flat(g.root)
+        obj["root"] = names[g.root]
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -396,11 +404,12 @@ def from_json(text: str) -> LabeledGraph:
 
 def to_dot(g: LabeledGraph) -> str:
     """Plain DOT dump: one line per vertex and per edge."""
+    names = _flat_names(g)
     lines = ["graph {"]
     for x in g.labels:
         mark = " [root=true]" if x == g.root else ""
-        lines.append(f'  "{flat(x)}"{mark};')
+        lines.append(f'  "{names[x]}"{mark};')
     for u, v in g.edges:
-        lines.append(f'  "{flat(u)}" -- "{flat(v)}";')
+        lines.append(f'  "{names[u]}" -- "{names[v]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """End-to-end acceptance suite.
 
-Fourteen headline checks, one test each, in a fixed order; `pytest -v`
+Fifteen headline checks, one test each, in a fixed order; `pytest -v`
 prints one pass/fail line per check.  Every frozen order here was computed
 twice: once by the Sims-table engine under test and once by an independent
 route (the n!-filter oracle, the reachability BFS, sympy, or networkx's
@@ -27,6 +27,7 @@ from amoebagraph import (
     compose,
     contains,
     corpus,
+    embed,
     example,
     family,
     feasible_replacements,
@@ -293,6 +294,26 @@ def test_worst_case_shapes_classify_in_bounded_time():
         started = time.perf_counter()
         classify_graph(g)
         assert time.perf_counter() - started < 5
+
+
+def test_thirty_label_comb_reports_a_skew_in_bounded_time():
+    """P2 combed with 15 isolated labels, the largest admitted size.
+
+    Each of its Aut-cosets has 2·28! members, and classify lists none.
+    """
+    started = time.perf_counter()
+    h = LabeledGraph(tuple(str(k) for k in range(1, 16)), root="1")
+    gh = comb_product(family("path", 2), h)
+    report = classify_graph(gh)
+    blocks = pair_blocks(gh.labels)
+    assert len(gh.labels) == 30 and report.block_system == blocks
+    assert contains(fer_group(gh), report.skew)
+    assert not preserves_partition(report.skew, blocks)
+    # independently of the engine, the skew lies in E_G: its embedding is gh
+    # with at most one edge swapped
+    moved = set(embed(gh, report.skew).edges) ^ set(gh.edges)
+    assert len(moved) in (0, 2)
+    assert time.perf_counter() - started < 5
 
 
 def test_order_eight_wreath_subgroup_is_maximal_in_s4():

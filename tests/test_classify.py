@@ -23,6 +23,7 @@ from amoebagraph import (
     family,
     fer_group,
     find_skew,
+    generating_set,
     is_global_amoeba,
     is_hang_symmetric,
     is_local_amoeba,
@@ -204,6 +205,30 @@ def test_find_skew_via_the_copy_swapping_automorphism():
     gh = comb_product(p(2), h)
     skew = find_skew(gh, pair_blocks(gh.labels))
     assert skew is not None and not preserves_partition(skew, pair_blocks(gh.labels))
+
+
+def test_skew_is_a_block_breaking_member_of_e_g():
+    """Slow route: listing E_G finds a block breaker exactly when find_skew does.
+
+    Every comb of a corpus graph on 1-3 labels with one on 1-4 labels at
+    each root, up to 6 labels: 115 combs, 32 of them with a skew.
+    """
+    combs = skews = 0
+    for m in range(1, 4):
+        for n in range(1, min(4, 6 // m) + 1):
+            for g in corpus(m):
+                for h in corpus(n, rooted=True):
+                    gh = comb_product(g, h)
+                    blocks = pair_blocks(gh.labels)
+                    members = generating_set(gh)
+                    skew = find_skew(gh, blocks)
+                    breaks = not all(preserves_partition(q, blocks) for q in members)
+                    assert (skew is not None) == breaks
+                    if skew is not None:
+                        assert skew in set(members)
+                    combs += 1
+                    skews += skew is not None
+    assert (combs, skews) == (115, 32)
 
 
 def test_no_skew_in_the_counterexample():

@@ -271,6 +271,21 @@ def test_comb_guards_the_product_size(capsys, tmp_path):
     assert code == 3 and "36" in err
 
 
+@pytest.mark.parametrize("fmt", [[], ["--dot"]])
+def test_comb_refuses_labels_that_flatten_alike(capsys, tmp_path, fmt):
+    """("1", "1.1") and ("1.1", "1") both flatten to "1.1.1"; nothing is written."""
+    g = LabeledGraph(("1", "1.1"), (("1", "1.1"),))
+    gp = write_graph(tmp_path, g, "g.json")
+    hp = write_graph(tmp_path, g.with_root("1"), "h.json")
+    target = tmp_path / "comb.out"
+    code, out, err = run_cli(capsys, ["comb", gp, hp, *fmt, "-o", str(target)])
+    assert (code, out) == (2, "")
+    assert err == "error: two labels flatten to '1.1.1'\n"
+    assert not target.exists()
+    code, out, err = run_cli(capsys, ["comb", gp, hp, *fmt])
+    assert (code, out) == (2, "") and "'1.1.1'" in err
+
+
 @pytest.mark.parametrize("checker", ["bigcor", "wreath", "fixedwreath"])
 def test_pair_checkers_guard_the_product_size_like_comb(capsys, tmp_path, checker):
     g = write_graph(tmp_path, family("path", 3), "g.json")
@@ -321,9 +336,17 @@ def test_oracle_json_reports_both_routes(capsys, tmp_path):
 
 
 def test_oracle_verb_is_capped_at_six_labels(capsys, tmp_path):
+    """The verb's default guard and the oracle's own refusal name one limit."""
+    from amoebagraph.cli import build_parser
+    from amoebagraph.oracle import REACH_LIMIT
+
     path = write_graph(tmp_path, family("path", 7))
     code, _, err = run_cli(capsys, ["oracle", path])
-    assert code == 3 and "guard" in err
+    assert code == 3 and f"exceeds the guard of {REACH_LIMIT}" in err
+    code, _, err = run_cli(capsys, ["--max-n", "7", "oracle", path])
+    assert code == 3 and f"reachability capped at {REACH_LIMIT} labels" in err
+    max_n = next(a for a in build_parser()._actions if a.dest == "max_n")
+    assert f"{REACH_LIMIT} for the oracle verb" in max_n.help
 
 
 # ---------------------------------------------------------------------- check

@@ -442,11 +442,14 @@ def test_groups_from_representatives_match_the_listed_generating_sets():
 
 
 def test_classifying_every_root_never_lists_aut(monkeypatch):
-    """Every 5-vertex class at every root, with Aut held as generators only.
+    """Every 5-vertex class at every root, and four pair-labelled combs, list nothing.
 
     The labels are used by no other test, so the process-wide memo starts
-    cold for them; the 68 distinct unrooted graphs (each class, and each
-    plus an isolated vertex) once listed Aut(G) 68 times.
+    cold for them.  The 68 distinct unrooted graphs (each class, and each
+    plus an isolated vertex) once listed Aut(G) 68 times, and the skew
+    search once listed whole cosets of the combs: one on P2∗P2, five on
+    P4∗P3 and one on P2∗E4.  Every call counts, since a coset listing
+    compares a replaced graph with g.
     """
     import amoebagraph.fer as fer_module
     import amoebagraph.lgraph as lgraph_module
@@ -456,8 +459,7 @@ def test_classifying_every_root_never_lists_aut(monkeypatch):
     listings = []
 
     def counted(h, g):
-        if h == g:
-            listings.append(g.unrooted())
+        listings.append(g.unrooted())
         return original(h, g)
 
     monkeypatch.setattr(fer_module, "label_isomorphisms", counted)
@@ -465,6 +467,16 @@ def test_classifying_every_root_never_lists_aut(monkeypatch):
     fresh = {str(k): f"aut-memo-{k}" for k in range(1, 6)}
     for g in corpus(5, rooted=True):
         classify_graph(relabel(g, fresh))
+    edgeless = LabeledGraph(("1", "2", "3", "4"), root="1")
+    combs = [
+        (family("path", 2), family("path", 2)),
+        (family("path", 4), family("path", 3)),
+        (family("path", 3), family("complete", 3, root="1")),
+        (family("path", 2), edgeless),
+    ]
+    for k, (g, h) in enumerate(combs):
+        g, h = (relabel(f, {x: f"skew-memo-{k}-{x}" for x in f.labels}) for f in (g, h))
+        classify_graph(comb_product(g, h))
     assert listings == []
 
 
