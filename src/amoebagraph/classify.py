@@ -28,7 +28,6 @@ from .permgroup import (
     is_symmetric,
     is_transitive,
     label_key,
-    minimal_block_system,
     orbits,
     preserves_partition,
     wreath_product,
@@ -62,6 +61,8 @@ def is_global_amoeba(g: LabeledGraph) -> bool:
 def is_stem_symmetric(g: LabeledGraph, b=None) -> bool:
     """Whether Fer^b(G) has order (n-1)! — full symmetry off the stem label."""
     b = _pick_root(g, b)
+    if not is_stem_transitive(g, b):
+        return False
     return fer_fixed_group(g, b).order == math.factorial(len(g.labels) - 1)
 
 
@@ -223,6 +224,18 @@ def classify_graph(g: LabeledGraph) -> ClassificationReport:
     Witnesses: pair-labeled graphs carry the canonical {B×{x}} partition and
     its skew (if some generator breaks it); otherwise a transitive,
     non-symmetric Fer group is probed for a nontrivial minimal block system.
+
+    The local, global, stem and hang flags each ask whether a group is Sym.
+    Exact facts decide first, and a Sims table is built only for what they
+    leave open (n labels, root i):
+    1. an intransitive group is not Sym;
+    2. the hang group lies in Fer(G), so it is Sym only when G is local;
+    3. Fer^i(G) lies in Fer(G)'s stabilizer of i, so stem-symmetry at i
+       needs |Fer(G)| >= (n-1)!·|orbit of i| and Fer^i(G) transitive off i;
+    4. a transitive group holding a point's full stabilizer in Sym is Sym:
+       Fer(G*) holds Fer(G) fixing the new label, so for a local G it is
+       Sym exactly when transitive; the hang group holds Fer^i(G), which
+       fixes i, so at a stem-symmetric i it is Sym exactly when transitive.
     """
     group = fer_group(g)
     n = len(g.labels)
@@ -232,26 +245,30 @@ def classify_graph(g: LabeledGraph) -> ClassificationReport:
     if all(isinstance(x, tuple) for x in g.labels):
         blocks = pair_blocks(g.labels)
         skew = find_skew(g, blocks)
-    elif n >= 2 and not local and is_transitive(group):
-        first = g.labels[0]
-        for other in g.labels[1:]:
-            system = minimal_block_system(group, (first, other))
-            if len(system) > 1:
-                blocks = system
-                break
+    elif not local:
+        blocks = group.block_witness
+    starred = fer_group(star(g))
+    global_ = is_transitive(starred) and (local or is_symmetric(starred))
     if g.root is None:
         stem = hang = transitive = similar = None
     else:
-        stem = is_stem_symmetric(g, g.root)
-        hang = is_hang_symmetric(g, g.root)
-        transitive = is_stem_transitive(g, g.root)
-        similar = has_root_similar_vertex(g, g.root)
+        i = g.root
+        transitive = is_stem_transitive(g, i)
+        orbit = next(o for o in group.orbits if i in o)
+        stem = (
+            transitive
+            and group.order >= math.factorial(n - 1) * len(orbit)
+            and fer_fixed_group(g, i).order == math.factorial(n - 1)
+        )
+        hanging = hang_group(g, i)
+        hang = local and is_transitive(hanging) and (stem or is_symmetric(hanging))
+        similar = has_root_similar_vertex(g, i)
     return ClassificationReport(
         root=g.root,
         fer_order=group.order,
-        fer_orbits=orbits(group),
+        fer_orbits=group.orbits,
         local_amoeba=local,
-        global_amoeba=is_global_amoeba(g),
+        global_amoeba=global_,
         stem_symmetric_at_root=stem,
         hang_symmetric_at_root=hang,
         stem_transitive_at_root=transitive,

@@ -4,7 +4,9 @@ Labels are strings, or nested (b, x) pairs coming from comb products.
 Permutations are immutable bijections on a canonically ordered domain;
 groups carry a deterministic Sims table, built by Knuth's sift-and-close
 algorithm, giving exact orders (arbitrary-precision ints), membership tests
-and element listings.
+and element listings.  Each group also caches its orbit partition, found
+by one breadth-first walk over positions, so orbit and transitivity
+questions never build a table.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 
 class PermutationError(ValueError):
@@ -284,6 +286,33 @@ class PermutationGroup:
     def order(self) -> int:
         return math.prod(len(reps) + 1 for reps in self._table.values())
 
+    @cached_property
+    def orbits(self) -> tuple:
+        """Orbit partition: each orbit, and the orbits by first label, in domain order."""
+        perms = [g.perm for g in self.generators]
+        seen = [False] * len(self.domain)
+        parts = []
+        for start in range(len(seen)):
+            if not seen[start]:
+                seen[start] = True
+                orbit = [start]
+                for k in orbit:
+                    for p in perms:
+                        if not seen[p[k]]:
+                            seen[p[k]] = True
+                            orbit.append(p[k])
+                parts.append(tuple(self.domain[k] for k in sorted(orbit)))
+        return tuple(parts)
+
+    @cached_property
+    def block_witness(self) -> Optional[tuple]:
+        """First nontrivial minimal block system joining domain[0] to another
+        label, tried in domain order; None if primitive or intransitive."""
+        if not is_transitive(self):
+            return None
+        systems = (minimal_block_system(self, (self.domain[0], x)) for x in self.domain[1:])
+        return next((system for system in systems if len(system) > 1), None)
+
     def __contains__(self, p: Permutation) -> bool:
         if p.domain != self.domain:
             raise PermutationError("permutation domain does not match group domain")
@@ -412,10 +441,10 @@ def strip(reps: dict, point, p: Permutation) -> Permutation:
 def schreier_generators(generators, reps: dict, point) -> tuple:
     """Schreier's lemma: over every generator a and every u_j in reps, a
     transversal of point's orbit, the products u_{a(j)}^-1 a u_j generate
-    the stabilizer of point."""
-    return tuple(
-        strip(reps, point, compose(a, u)) for u in reps.values() for a in generators
-    )
+    the stabilizer of point.  Each u_j is inverted once."""
+    inverses = {j: u.inverse() for j, u in reps.items()}
+    products = (compose(a, u) for u in reps.values() for a in generators)
+    return tuple(compose(inverses[au(point)], au) for au in products)
 
 
 def symmetric_group(labels) -> PermutationGroup:
@@ -443,22 +472,18 @@ def contains(group: PermutationGroup, p: Permutation) -> bool:
 
 
 def orbits(group: PermutationGroup) -> tuple:
-    """Orbit partition of the domain, canonically sorted."""
-    uf = _UnionFind(group.domain)
-    for g in group.generators:
-        for x, y in zip(g.domain, g.images):
-            uf.union(x, y)
-    parts = [tuple(sorted(part, key=label_key)) for part in uf.classes()]
-    return tuple(sorted(parts, key=lambda part: label_key(part[0])))
+    """Orbit partition of the domain, canonically sorted (cached on the group)."""
+    return group.orbits
 
 
 def is_transitive(group: PermutationGroup) -> bool:
-    return len(orbits(group)) == 1
+    return len(group.orbits) == 1
 
 
 def is_symmetric(group: PermutationGroup) -> bool:
-    """Whether the group is all of Sym(domain), by exact order comparison."""
-    return group.order == math.factorial(len(group.domain))
+    """Whether the group is all of Sym(domain): never when intransitive,
+    otherwise by exact order comparison."""
+    return len(group.orbits) <= 1 and group.order == math.factorial(len(group.domain))
 
 
 def _check_partition(domain: tuple, partition) -> tuple:

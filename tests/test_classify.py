@@ -21,19 +21,26 @@ from amoebagraph import (
     cycle_notation,
     example,
     family,
+    fer_fixed_group,
     fer_group,
     find_skew,
     generating_set,
+    hang_group,
     is_global_amoeba,
     is_hang_symmetric,
     is_local_amoeba,
     is_stem_symmetric,
     is_stem_transitive,
+    is_symmetric,
     has_root_similar_vertex,
     pair_blocks,
     preserves_partition,
     reachability,
+    relabel,
+    star,
 )
+from amoebagraph import permgroup
+from amoebagraph.construct import EXAMPLE_NAMES
 
 C4 = LabeledGraph(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")))
 K1 = LabeledGraph(("1",))
@@ -307,3 +314,54 @@ def test_report_json_is_serializable_and_ordered():
 def test_fer_order_in_report_matches_group_engine():
     for g in corpus(4):
         assert int(classify_graph(g).to_json()["fer_order"]) == fer_group(g).order
+
+
+# ------------------------------------------- classify's rules, by the slow route
+
+
+def _rule_cases():
+    # corpus(3) holds {1,2,3} with the edge 12 rooted at 3: stem-symmetric
+    # there, but its hang group fixes 3, so only transitivity says "not Sym".
+    for n in range(1, 7):
+        yield from corpus(n, rooted=True)
+    for n in range(2, 13):
+        yield p(n, root="1")
+    for n in range(2, 9):
+        yield family("complete", n, root="1")
+    for name in EXAMPLE_NAMES:
+        g = example(name)
+        yield g if g.root is not None else g.with_root(g.labels[0])
+    yield comb_product(family("path", 4), family("path", 3))
+
+
+def test_classify_flags_match_plain_table_orders():
+    """Every flag classify decides by orbits and subgroup bounds equals the
+    answer read off the group's full Sims table."""
+    for g in _rule_cases():
+        n, i = len(g.labels), g.root
+        report = classify_graph(g)
+        groups = {
+            "local_amoeba": (fer_group(g), math.factorial(n)),
+            "global_amoeba": (fer_group(star(g)), math.factorial(n + 1)),
+            "stem_symmetric_at_root": (fer_fixed_group(g, i), math.factorial(n - 1)),
+            "hang_symmetric_at_root": (hang_group(g, i), math.factorial(n)),
+        }
+        for flag, (group, full) in groups.items():
+            assert getattr(report, flag) == (group.order == full), (g, flag)
+            assert is_symmetric(group) == (group.order == math.factorial(len(group.domain)))
+
+
+def test_sims_tables_built_classifying_corpus5_at_every_root(monkeypatch):
+    """Work pin: a cold memo (fresh labels) classifies every 5-vertex class at
+    every root with 128 Sims tables, where one table per Sym question takes 408."""
+    calls = []
+    table = permgroup._sims_table
+
+    def counted(domain, generators):
+        calls.append(None)
+        return table(domain, generators)
+
+    monkeypatch.setattr(permgroup, "_sims_table", counted)
+    for g in corpus(5, rooted=True):
+        classify_graph(relabel(g, {x: "sims-pin-" + x for x in g.labels}))
+    assert len(calls) == 128

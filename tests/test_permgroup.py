@@ -33,6 +33,7 @@ from amoebagraph import (
     wreath_product,
 )
 from amoebagraph import permgroup
+from amoebagraph.permgroup import label_key
 
 DOM3 = ("1", "2", "3")
 DOM6 = tuple("123456")
@@ -266,6 +267,84 @@ def test_orbits():
     assert orbits(trivial) == (("1",), ("2",), ("3",))
     g = group_from_generators([perm("(1 2)")])
     assert orbits(g) == (("1", "2"), ("3",))
+
+
+class _UnionFind:
+    """Union-find over a fixed label set."""
+
+    def __init__(self, labels):
+        self.parent = {x: x for x in labels}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[ry] = rx
+        return True
+
+    def classes(self) -> list:
+        groups = {}
+        for x in self.parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return list(groups.values())
+
+
+def union_find_orbits(group) -> tuple:
+    """Orbit partition of the domain, canonically sorted."""
+    uf = _UnionFind(group.domain)
+    for g in group.generators:
+        for x, y in zip(g.domain, g.images):
+            uf.union(x, y)
+    parts = [tuple(sorted(part, key=label_key)) for part in uf.classes()]
+    return tuple(sorted(parts, key=lambda part: label_key(part[0])))
+
+
+# Plain domains of 1..8 labels ("10" sorts before "3"), and pair domains of up
+# to 8 labels, whose x-major order differs from the order of the tuples.
+ORBIT_DOMAINS = [tuple(sorted(str(k) for k in range(3, n + 3))) for n in range(1, 9)] + [
+    wreath_product(symmetric_group(bs), symmetric_group(xs)).domain
+    for bs in (("a",), ("a", "b"), ("a", "b", "c", "d"))
+    for xs in (("1", "2"), ("1", "2", "3", "10"))
+    if len(bs) * len(xs) <= 8
+]
+
+
+@st.composite
+def generator_sets(draw):
+    """A domain and up to three generators, each a full random permutation or
+    a product of a few transpositions, so that many groups are intransitive."""
+    domain = draw(st.sampled_from(ORBIT_DOMAINS))
+    n = len(domain)
+
+    def swaps(pairs):
+        images = list(domain)
+        for j, k in pairs:
+            images[j], images[k] = images[k], images[j]
+        return Permutation(domain, tuple(images))
+
+    few = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3)
+    return domain, draw(st.lists(st.one_of(perms_on(domain), few.map(swaps)), max_size=3))
+
+
+@given(generator_sets())
+@settings(max_examples=150, deadline=None)
+def test_cached_orbits_equal_the_union_find_partition(case):
+    """The breadth-first orbits over positions give the union-find partition
+    in the same canonical order, and a second call returns the cached tuple."""
+    domain, gens = case
+    group = group_from_generators(gens, domain=domain)
+    first = orbits(group)
+    assert first == union_find_orbits(group)
+    assert orbits(group) is first
+    assert is_transitive(group) == (len(first) == 1)
 
 
 def test_singleton_domain_is_symmetric():
