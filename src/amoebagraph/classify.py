@@ -75,14 +75,8 @@ def is_hang_symmetric(g: LabeledGraph, i=None) -> bool:
 def is_stem_transitive(g: LabeledGraph, i=None) -> bool:
     """Whether <E^i> acts transitively on the labels other than i."""
     i = _pick_root(g, i)
-    rest = {x for x in g.labels if x != i}
-    if not rest:
-        return True
-    for orbit in orbits(fer_fixed_group(g, i)):
-        if i not in orbit:
-            if set(orbit) != rest:
-                return False
-    return True
+    # Fer^i(G) fixes i, so {i} is one orbit and the rest must be at most one more.
+    return len(orbits(fer_fixed_group(g, i))) <= 2
 
 
 def has_root_similar_vertex(g: LabeledGraph, k=None) -> bool:

@@ -1,12 +1,13 @@
 """Permutations and permutation groups over finite label domains.
 
 Labels are strings, or nested (b, x) pairs coming from comb products.
-Permutations are immutable bijections on a canonically ordered domain;
-groups carry a deterministic Sims table, built by Knuth's sift-and-close
-algorithm, giving exact orders (arbitrary-precision ints), membership tests
-and element listings.  Each group also caches its orbit partition, found
-by one breadth-first walk over positions, so orbit and transitivity
-questions never build a table.
+Permutations are immutable bijections on a canonically ordered domain,
+stored once, as image positions; groups carry a deterministic Sims table,
+built by Knuth's sift-and-close algorithm, giving exact orders
+(arbitrary-precision ints), membership tests and element listings.  Each
+group also caches its orbit partition, found by one breadth-first walk over
+positions, so orbit and transitivity questions never build a table.
+Minimal block systems come from Atkinson's merge over positions.
 """
 
 from __future__ import annotations
@@ -63,12 +64,12 @@ def _identity_positions(n: int) -> tuple:
 class Permutation:
     """Immutable bijection on a canonically ordered label domain.
 
-    ``perm[k]`` is the domain position of the image of ``domain[k]``, and
-    ``images[k]`` is that image itself.  The public constructors validate;
-    products and inverses of valid permutations skip the check.
+    ``perm[k]`` is the domain position of the image of ``domain[k]``; it is
+    the only stored form, and ``images`` reads the labels off it.  Public
+    constructors validate; products and inverses of valid ones skip the check.
     """
 
-    __slots__ = ("domain", "perm", "_images")
+    __slots__ = ("domain", "perm")
 
     def __init__(self, domain: tuple, images: tuple):
         index = _index_of(domain)
@@ -81,7 +82,6 @@ class Permutation:
             raise PermutationError("images are not a bijection of the domain")
         _set_domain(self, domain)
         _set_perm(self, perm)
-        _set_images(self, images)
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -105,12 +105,7 @@ class Permutation:
 
     @property
     def images(self) -> tuple:
-        images = self._images
-        if images is None:
-            domain = self.domain
-            images = tuple([domain[k] for k in self.perm])
-            _set_images(self, images)
-        return images
+        return tuple([self.domain[k] for k in self.perm])
 
     @classmethod
     def identity(cls, labels) -> "Permutation":
@@ -172,7 +167,6 @@ class Permutation:
 # Slot setters: they bypass the __setattr__ that keeps Permutation immutable.
 _set_domain = Permutation.domain.__set__
 _set_perm = Permutation.perm.__set__
-_set_images = Permutation._images.__set__
 
 
 def _unchecked(domain: tuple, perm: tuple) -> Permutation:
@@ -180,7 +174,6 @@ def _unchecked(domain: tuple, perm: tuple) -> Permutation:
     p = object.__new__(Permutation)
     _set_domain(p, domain)
     _set_perm(p, perm)
-    _set_images(p, None)
     return p
 
 
@@ -236,34 +229,6 @@ def parse_cycles(text: str, domain) -> Permutation:
                 raise PermutationError(f"label {flat(x)!r} appears in two cycles")
             mapping[x] = y
     return Permutation.from_mapping(mapping)
-
-
-class _UnionFind:
-    """Union-find over a fixed label set."""
-
-    def __init__(self, labels):
-        self.parent = {x: x for x in labels}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-    def classes(self) -> list:
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -508,25 +473,41 @@ def preserves_partition(p: Permutation, partition) -> bool:
 
 
 def minimal_block_system(group: PermutationGroup, seed) -> tuple:
-    """Finest block system with all seed labels in one block (group transitive)."""
+    """Finest block system with all seed labels in one block (group transitive).
+
+    Atkinson's merge (Math. Comp. 29, 1975) over positions: join the seed
+    pairs, and whenever two classes are joined, queue the pairs of their
+    representatives' images under every generator.  Reading the classes in
+    domain order lists them, and the labels in each, canonically.
+    """
     if not is_transitive(group):
         raise PermutationError("minimal_block_system requires a transitive group")
     seed = list(seed)
     if len(seed) < 2:
         raise PermutationError("seed needs at least two labels")
-    uf = _UnionFind(group.domain)
-    for x in seed[1:]:
-        uf.union(seed[0], x)
-    changed = True
-    while changed:
-        changed = False
-        for g in group.generators:
-            for x in group.domain:
-                rep = uf.find(x)
-                if uf.find(g(x)) != uf.find(g(rep)):
-                    uf.union(g(x), g(rep))
-                    changed = True
-    return _check_partition(group.domain, uf.classes())
+    index = _index_of(group.domain)
+    try:
+        first, *rest = [index[x] for x in seed]
+    except KeyError as err:
+        raise PermutationError(f"unknown label {flat(err.args[0])!r}") from None
+    parent = list(range(len(index)))
+
+    def find(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    perms = [g.perm for g in group.generators]
+    pending = [(first, k) for k in rest]
+    for a, b in pending:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            pending.extend((p[a], p[b]) for p in perms)
+    blocks = {}
+    for k, x in enumerate(group.domain):
+        blocks.setdefault(find(k), []).append(x)
+    return tuple(tuple(block) for block in blocks.values())
 
 
 def wreath_product(s: PermutationGroup, t: PermutationGroup) -> PermutationGroup:

@@ -33,6 +33,7 @@ from amoebagraph import (
     is_stem_transitive,
     is_symmetric,
     has_root_similar_vertex,
+    orbits,
     pair_blocks,
     preserves_partition,
     reachability,
@@ -349,6 +350,10 @@ def test_classify_flags_match_plain_table_orders():
         for flag, (group, full) in groups.items():
             assert getattr(report, flag) == (group.order == full), (g, flag)
             assert is_symmetric(group) == (group.order == math.factorial(len(group.domain)))
+        # Stem-transitivity as first defined: every orbit of Fer^i off i is all of X - {i}.
+        rest = {x for x in g.labels if x != i}
+        off_root = [set(o) for o in orbits(fer_fixed_group(g, i)) if i not in o]
+        assert report.stem_transitive_at_root == all(o == rest for o in off_root), g
 
 
 def test_sims_tables_built_classifying_corpus5_at_every_root(monkeypatch):

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from amoebagraph import (
     Permutation,
     PermutationError,
+    comb_product,
     compose,
     contains,
+    corpus,
     cycle_notation,
     example,
+    family,
+    fer_group,
     generating_set,
     group_from_generators,
     is_block_system,
@@ -382,6 +386,122 @@ def test_minimal_block_system_needs_transitivity():
     g = group_from_generators([perm("(1 2)")])
     with pytest.raises(PermutationError):
         minimal_block_system(g, ("1", "2"))
+
+
+def test_minimal_block_system_names_an_unknown_seed_label():
+    with pytest.raises(PermutationError, match="unknown label 'zz'"):
+        minimal_block_system(symmetric_group("1234"), ["1", "zz"])
+    w = wreath_product(symmetric_group(("a", "b")), symmetric_group(("1", "2")))
+    with pytest.raises(PermutationError, match=r"unknown label 'c\.1'"):
+        minimal_block_system(w, (("a", "1"), ("c", "1")))
+
+
+def union_find_minimal_block_system(group, seed) -> tuple:
+    """Finest block system with all seed labels in one block (group transitive)."""
+    if not is_transitive(group):
+        raise PermutationError("minimal_block_system requires a transitive group")
+    seed = list(seed)
+    if len(seed) < 2:
+        raise PermutationError("seed needs at least two labels")
+    uf = _UnionFind(group.domain)
+    for x in seed[1:]:
+        uf.union(seed[0], x)
+    changed = True
+    while changed:
+        changed = False
+        for g in group.generators:
+            for x in group.domain:
+                rep = uf.find(x)
+                if uf.find(g(x)) != uf.find(g(rep)):
+                    uf.union(g(x), g(rep))
+                    changed = True
+    return permgroup._check_partition(group.domain, uf.classes())
+
+
+def full_cycle(domain, order) -> Permutation:
+    """The cycle visiting the labels in the given order."""
+    step = dict(zip(order, order[1:] + order[:1]))
+    return Permutation(domain, tuple(step[x] for x in domain))
+
+
+def power(p, k) -> Permutation:
+    q = p
+    for _ in range(k - 1):
+        q = compose(q, p)
+    return q
+
+
+def cyclic_group(labels):
+    domain = permgroup.sorted_domain(labels)
+    return group_from_generators([full_cycle(domain, domain)], domain=domain)
+
+
+# Transitive factors for wreath products of at most 8 labels, so that blocks
+# B x {x}, and finer ones inside a cyclic base, occur.
+BASES = [f(bs) for bs in ("a", "ab", "abc", "abcd") for f in (symmetric_group, cyclic_group)]
+TOPS = [f(xs) for xs in (("1", "2"), ("1", "2", "3"), ("1", "2", "3", "10"))
+        for f in (symmetric_group, cyclic_group)]
+WREATHS = [wreath_product(s, t) for s in BASES for t in TOPS
+           if len(s.domain) * len(t.domain) <= 8]
+
+
+@st.composite
+def transitive_generator_sets(draw):
+    """A transitive group on at most 8 labels with a seed list: either a full
+    cycle plus up to two generators on a plain or pair domain, or a wreath
+    product's generators, conjugated by a random permutation or not.  The
+    seeds are every (domain[0], x) and two drawn 3-label seeds."""
+    if draw(st.booleans()):
+        domain = draw(st.sampled_from(ORBIT_DOMAINS[1:]))  # two labels or more
+        order = draw(st.permutations(domain))
+        cycle = full_cycle(domain, order)
+        # Powers of the cycle and the reflection of its order keep the blocks
+        # of cyclic and dihedral groups; a random permutation usually does not.
+        flip = {x: order[-j] for j, x in enumerate(order)}
+        reflection = Permutation(domain, tuple(flip[x] for x in domain))
+        powers = st.integers(1, len(domain)).map(lambda k: power(cycle, k))
+        extra = st.one_of(perms_on(domain), powers, st.just(reflection))
+        gens = [cycle] + draw(st.lists(extra, max_size=2))
+    else:
+        w = draw(st.sampled_from(WREATHS))
+        domain, gens = w.domain, list(w.generators)
+        if draw(st.booleans()):
+            c = draw(perms_on(domain))
+            gens = [compose(compose(c, g), c.inverse()) for g in gens]
+    seeds = [(domain[0], x) for x in domain[1:]]
+    if len(domain) >= 3:
+        triple = st.lists(st.sampled_from(domain), min_size=3, max_size=3, unique=True)
+        seeds += draw(st.lists(triple, min_size=2, max_size=2))
+    return group_from_generators(gens, domain=domain), seeds
+
+
+def assert_blocks_match_the_union_find(group, seeds):
+    for seed in seeds:
+        assert minimal_block_system(group, seed) == union_find_minimal_block_system(
+            group, seed
+        ), (group, seed)
+
+
+@given(transitive_generator_sets())
+@settings(max_examples=120, deadline=None)
+def test_atkinson_blocks_equal_the_union_find_fixpoint(case):
+    """Atkinson's merge over positions gives the old label-level fixpoint's
+    partition, in the same canonical order."""
+    assert_blocks_match_the_union_find(*case)
+
+
+def test_atkinson_blocks_of_transitive_fer_groups_equal_the_union_find_fixpoint():
+    graphs = [g for n in range(1, 7) for g in corpus(n)]
+    graphs.append(comb_product(family("path", 4), family("path", 3)))
+    tried = 0
+    for g in graphs:
+        group = fer_group(g)
+        if is_transitive(group) and len(group.domain) > 1:
+            assert_blocks_match_the_union_find(
+                group, [(group.domain[0], x) for x in group.domain[1:]]
+            )
+            tried += 1
+    assert tried > 0
 
 
 def test_wreath_orders():
