@@ -37,7 +37,7 @@ def main() -> None:
     blocks = pair_blocks(gh.labels)
     r = EdgeReplacement((("2", "1"), ("3", "1")), (("3", "1"), ("3", "2")))
     print("replacement: cut 2.1-3.1, add 3.1-3.2")
-    for p in fer_coset(gh, r).perms:
+    for p in fer_coset(gh, r):
         crosses = not preserves_partition(p, blocks)
         flag = "crosses blocks" if crosses else "stays in blocks"
         print(f"  {cycle_notation(p.relabeled({x: '.'.join(x) for x in gh.labels})):<40} {flag}")

@@ -39,8 +39,6 @@ from .construct import (
 )
 from .fer import (
     EdgeReplacement,
-    FerCoset,
-    InfeasibleReplacementError,
     apply_replacement,
     feasible_replacements,
     fer_coset,
@@ -49,8 +47,6 @@ from .fer import (
     fixed_generating_set,
     generating_set,
     hang_group,
-    parse_replacement,
-    replacement_notation,
 )
 from .lgraph import (
     FormatError,
@@ -81,7 +77,6 @@ from .permgroup import (
     PermutationError,
     PermutationGroup,
     compose,
-    contains,
     cycle_notation,
     group_from_generators,
     is_block_system,
@@ -89,7 +84,6 @@ from .permgroup import (
     is_transitive,
     minimal_block_system,
     orbits,
-    order,
     parse_cycles,
     preserves_partition,
     symmetric_group,

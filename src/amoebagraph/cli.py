@@ -15,12 +15,7 @@ import sys
 
 from . import classify as cls
 from . import construct, oracle
-from .fer import (
-    InfeasibleReplacementError,
-    fer_fixed_group,
-    fer_group,
-    hang_group,
-)
+from .fer import fer_fixed_group, fer_group, hang_group
 from .lgraph import FormatError, GraphError, LabeledGraph, from_json, to_dot, to_json
 from .permgroup import PermutationError, cycle_notation, flat, is_symmetric, orbits
 
@@ -179,15 +174,18 @@ def _do_comb(args) -> int:
 
 def _do_family(args) -> int:
     limit, n = _limit(args, ENGINE_LIMIT), args.n
-    if args.name != "cube" and n is not None and n >= 1:
-        size = n
-        if args.name in ("a_family", "b_family") and n <= limit:
-            # 2**n > n, so an n over the guard is refused before 2**n is formed.
-            size = 2**n + (args.name == "b_family")
-        if size > limit:
-            raise oracle.SizeGuardError(
-                f"family {args.name} {n} has more than {limit} labels, exceeding the guard"
-            )
+    size = n if n is not None and n >= 1 else None
+    if args.name == "cube":
+        # family() refuses a size parameter for cube whatever the guard.
+        size = 8 if n is None else None
+    elif args.name in ("a_family", "b_family") and size is not None and n <= limit:
+        # 2**n > n, so an n over the guard is refused before 2**n is formed.
+        size = 2**n + (args.name == "b_family")
+    if size is not None and size > limit:
+        member = args.name if n is None else f"{args.name} {n}"
+        raise oracle.SizeGuardError(
+            f"family {member} has more than {limit} labels, exceeding the guard"
+        )
     g = construct.family(args.name, n, root=args.root)
     _emit_graph(g, args)
     return 0
@@ -364,13 +362,7 @@ def main(argv=None) -> int:
     except oracle.SizeGuardError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (
-        FormatError,
-        GraphError,
-        PermutationError,
-        InfeasibleReplacementError,
-        cls.PreconditionError,
-    ) as err:
+    except (FormatError, GraphError, PermutationError, cls.PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

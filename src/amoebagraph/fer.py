@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Optional
 
 from .lgraph import (
-    FormatError,
     GraphError,
     LabeledGraph,
     _canonical_edge,
@@ -42,19 +41,12 @@ from .lgraph import (
 )
 from .permgroup import (
     PermutationGroup,
-    cycle_notation,
     flat,
     group_from_generators,
     schreier_generators,
     strip,
     transversal,
 )
-
-NEUTRAL = "∅"
-
-
-class InfeasibleReplacementError(ValueError):
-    """Raised when a replacement cannot be applied or breaks the isomorphism type."""
 
 
 @dataclass(frozen=True)
@@ -82,49 +74,6 @@ class EdgeReplacement:
     def is_neutral(self) -> bool:
         return self.removed is None
 
-    def __str__(self) -> str:
-        return replacement_notation(self)
-
-
-def replacement_notation(r: EdgeReplacement) -> str:
-    """Render as "12->13" (single-char labels), "a,b->c,d" otherwise, "∅->∅"."""
-    if r.is_neutral:
-        return f"{NEUTRAL}->{NEUTRAL}"
-    names = [flat(x) for x in (*r.removed, *r.added)]
-    if all(len(name) == 1 for name in names):
-        return f"{names[0]}{names[1]}->{names[2]}{names[3]}"
-    return f"{names[0]},{names[1]}->{names[2]},{names[3]}"
-
-
-def parse_replacement(text: str, labels) -> EdgeReplacement:
-    """Parse replacement notation over the given label set."""
-    by_flat = {flat(x): x for x in labels}
-    left, arrow, right = text.partition("->")
-    if not arrow:
-        raise FormatError(f"not a replacement: {text!r}")
-
-    def side(chunk: str):
-        chunk = chunk.strip()
-        if chunk in (NEUTRAL, "0"):
-            return None
-        if "," in chunk:
-            names = [name.strip() for name in chunk.split(",")]
-        elif len(chunk) == 2:
-            names = [chunk[0], chunk[1]]
-        else:
-            raise FormatError(f"cannot read edge {chunk!r} in {text!r}")
-        if len(names) != 2:
-            raise FormatError(f"cannot read edge {chunk!r} in {text!r}")
-        try:
-            return (by_flat[names[0]], by_flat[names[1]])
-        except KeyError as err:
-            raise FormatError(f"unknown label {err.args[0]!r} in {text!r}") from None
-
-    removed, added = side(left), side(right)
-    if (removed is None) != (added is None):
-        raise FormatError(f"half-neutral replacement: {text!r}")
-    return EdgeReplacement(removed, added)
-
 
 def apply_replacement(g: LabeledGraph, r: EdgeReplacement) -> LabeledGraph:
     """The replaced graph g - removed + added; neutral returns g unchanged.
@@ -136,24 +85,6 @@ def apply_replacement(g: LabeledGraph, r: EdgeReplacement) -> LabeledGraph:
     if r.is_neutral:
         return g
     return g.remove_edge(*r.removed).add_edge(*r.added)
-
-
-@dataclass(frozen=True)
-class FerCoset:
-    """All permutations realizing one feasible replacement (a left Aut-coset)."""
-
-    replacement: EdgeReplacement
-    perms: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.perms)
-
-    def to_json(self) -> dict:
-        return {
-            "replacement": replacement_notation(self.replacement),
-            "perms": [cycle_notation(p) for p in self.perms],
-        }
 
 
 def _components_without(g: LabeledGraph, removed: tuple) -> dict:
@@ -195,14 +126,9 @@ class _GraphMemo:
         self.fixed_sets = {}
         self.groups_at = {}
 
-    def coset(self, r: EdgeReplacement) -> FerCoset:
+    def coset(self, r: EdgeReplacement) -> tuple:
         if r not in self.cosets:
-            perms = label_isomorphisms(apply_replacement(self.g, r), self.g)
-            if not perms:
-                raise InfeasibleReplacementError(
-                    f"replacement {replacement_notation(r)} changes the isomorphism type"
-                )
-            self.cosets[r] = FerCoset(r, perms)
+            self.cosets[r] = label_isomorphisms(apply_replacement(self.g, r), self.g)
         return self.cosets[r]
 
     @cached_property
@@ -242,7 +168,7 @@ class _GraphMemo:
     @cached_property
     def generating_set(self) -> tuple:
         # The cosets are disjoint: g - e1 + e2 determines e1 and e2.
-        return tuple(p for r in (EdgeReplacement(), *self.swaps) for p in self.coset(r).perms)
+        return tuple(p for r in (EdgeReplacement(), *self.swaps) for p in self.coset(r))
 
     @cached_property
     def group(self) -> PermutationGroup:
@@ -292,8 +218,10 @@ def feasible_replacements(g: LabeledGraph) -> tuple:
     return (EdgeReplacement(), *_memo(g).swaps)
 
 
-def fer_coset(g: LabeledGraph, r: EdgeReplacement) -> FerCoset:
-    """Fer_G(removed -> added): every p with embed(g, p) = g - removed + added."""
+def fer_coset(g: LabeledGraph, r: EdgeReplacement) -> tuple:
+    """Fer_G(removed -> added): every p with embed(g, p) = g - removed + added,
+    sorted as label_isomorphisms sorts them; empty when the replaced graph is
+    not isomorphic to g."""
     return _memo(g).coset(r)
 
 

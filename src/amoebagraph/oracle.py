@@ -15,8 +15,8 @@ from itertools import permutations as all_orderings
 from typing import Iterator
 
 from .fer import EdgeReplacement, apply_replacement
-from .lgraph import LabeledGraph, _canonical_edge
-from .permgroup import Permutation, label_key
+from .lgraph import LabeledGraph, _canonical_edge, _edge_key
+from .permgroup import Permutation
 
 COSET_LIMIT = 8
 REACH_LIMIT = 6
@@ -30,7 +30,7 @@ class SizeGuardError(ValueError):
 
 def _canonical_state(edges) -> tuple:
     pairs = [_canonical_edge(u, v) for u, v in edges]
-    return tuple(sorted(pairs, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+    return tuple(sorted(pairs, key=_edge_key))
 
 
 def _mapped_state(mapping: dict, edges) -> tuple:

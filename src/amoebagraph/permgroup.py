@@ -56,11 +56,6 @@ def _index_of(domain: tuple) -> dict:
     return index
 
 
-@lru_cache(maxsize=None)
-def _identity_positions(n: int) -> tuple:
-    return tuple(range(n))
-
-
 class Permutation:
     """Immutable bijection on a canonically ordered label domain.
 
@@ -125,34 +120,13 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return self.perm == _identity_positions(len(self.perm))
-
-    def moved(self) -> tuple:
-        """Labels not fixed by this permutation, in domain order."""
-        return tuple(self.domain[k] for k, j in enumerate(self.perm) if k != j)
+        return self.perm == tuple(range(len(self.perm)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.perm)
         for k, j in enumerate(self.perm):
             inv[j] = k
         return _unchecked(self.domain, tuple(inv))
-
-    def extended(self, extra_labels) -> "Permutation":
-        """The same bijection on a larger domain, fixing every extra label."""
-        mapping = dict(zip(self.domain, self.images))
-        for x in extra_labels:
-            if x in mapping:
-                raise PermutationError(f"label {x!r} already in domain")
-            mapping[x] = x
-        return Permutation.from_mapping(mapping)
-
-    def restricted(self, labels) -> "Permutation":
-        """Restriction to an invariant subset of the domain."""
-        keep = set(labels)
-        mapping = {x: y for x, y in zip(self.domain, self.images) if x in keep}
-        if set(mapping.values()) != keep:
-            raise PermutationError("subset is not invariant under the permutation")
-        return Permutation.from_mapping(mapping)
 
     def relabeled(self, mapping: dict) -> "Permutation":
         """Conjugate by a relabeling: acts on mapped labels as self on old ones."""
@@ -386,7 +360,7 @@ def group_from_generators(gens, domain=None) -> PermutationGroup:
 def transversal(generators, domain: tuple, point) -> dict:
     """For each label j in the orbit of point, some u_j in <generators> with
     u_j(point) = j, found breadth-first from u_point, the identity."""
-    found = {point: _unchecked(domain, _identity_positions(len(domain)))}
+    found = {point: _unchecked(domain, tuple(range(len(domain))))}
     todo = [point]
     for j in todo:
         for a in generators:
@@ -424,16 +398,6 @@ def symmetric_group(labels) -> PermutationGroup:
     if len(domain) == 2:
         gens = gens[:1]
     return PermutationGroup(domain, tuple(gens))
-
-
-def order(group: PermutationGroup) -> int:
-    """Exact group order as an arbitrary-precision integer."""
-    return group.order
-
-
-def contains(group: PermutationGroup, p: Permutation) -> bool:
-    """Membership test: p sifts to the identity through the group's Sims table."""
-    return p in group
 
 
 def orbits(group: PermutationGroup) -> tuple:

@@ -2,8 +2,11 @@
 
 import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amoebagraph import (
     LabeledGraph,
@@ -16,7 +19,6 @@ from amoebagraph import (
     check_wreath_embedding,
     classify_graph,
     comb_product,
-    contains,
     corpus,
     cycle_notation,
     example,
@@ -162,6 +164,31 @@ def test_hang_correspondence_on_rooted_four_vertex_graphs():
         assert check_hang_correspondence(g)
 
 
+@st.composite
+def random_rooted_graphs(draw):
+    """G(n, p) on 7-9 labels, p in {0.15, 0.3, 0.5, 0.7}, at a random root."""
+    n = draw(st.integers(7, 9))
+    density = draw(st.sampled_from((0.15, 0.3, 0.5, 0.7)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    labels = tuple(str(k) for k in range(1, n + 1))
+    edges = tuple(
+        (u, v) for k, u in enumerate(labels) for v in labels[k + 1 :] if rng.random() < density
+    )
+    return LabeledGraph(labels, edges, root=draw(st.sampled_from(labels)))
+
+
+@given(random_rooted_graphs())
+@settings(max_examples=80, deadline=None)
+def test_theorem_checkers_agree_on_random_graphs(g):
+    """Theorem 3's triple, the global/transitive pair and the hang
+    correspondence, beyond the corpus sizes."""
+    a, b, c = check_theorem3(g)
+    assert a == b == c
+    is_global, is_trans = check_global_transitive(g)
+    assert is_global == is_trans
+    assert check_hang_correspondence(g)
+
+
 # ---------------------------------------------------------- wreath embeddings
 
 
@@ -203,7 +230,7 @@ def test_find_skew_on_a_full_symmetric_comb():
     skew = find_skew(gh, blocks)
     assert skew is not None
     assert not preserves_partition(skew, blocks)
-    assert contains(fer_group(gh), skew)
+    assert skew in fer_group(gh)
     assert cycle_notation(skew) == "(1.1 2.1 2.2 1.2)"
 
 

@@ -423,6 +423,8 @@ def test_max_n_flag_tightens_the_guard(capsys, tmp_path):
         (["family", "b_family", "5"], 3),  # 33 labels
         (["family", "b_family", "4"], 0),  # 17 labels
         (["family", "a_family", "10000000000"], 3),  # refused before 2**n is formed
+        (["--max-n", "7", "family", "cube"], 3),  # 8 labels
+        (["--max-n", "8", "family", "cube"], 0),
     ],
 )
 def test_family_respects_the_size_guard(capsys, argv, code):

@@ -51,17 +51,21 @@ def test_brute_automorphisms_agree_on_a_six_label_spot_check():
 
 
 def test_brute_cosets_agree_with_the_engine_up_to_five_labels():
+    """Every (edge, non-edge) swap, feasible or not, and the neutral one."""
     for n in (2, 3, 4, 5):
         for g in corpus(n):
-            for r in feasible_replacements(g):
-                assert set(brute_coset(g, r)) == set(fer_coset(g, r).perms)
+            swaps = [EdgeReplacement(e, f) for e in g.edges for f in g.non_edges()]
+            for r in (EdgeReplacement(), *swaps):
+                assert set(brute_coset(g, r)) == set(fer_coset(g, r))
+            feasible = [r for r in swaps if fer_coset(g, r)]
+            assert feasible == list(feasible_replacements(g)[1:])
 
 
 def test_brute_cosets_agree_on_sampled_six_label_graphs():
     # every tenth class keeps this sweep under a second; the n<=5 run is full
     for g in islice(corpus(6), 0, None, 10):
         for r in feasible_replacements(g):
-            assert set(brute_coset(g, r)) == set(fer_coset(g, r).perms)
+            assert set(brute_coset(g, r)) == set(fer_coset(g, r))
 
 
 def test_brute_coset_of_the_neutral_replacement_is_the_automorphism_filter():
