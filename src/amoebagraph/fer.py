@@ -20,8 +20,9 @@ strong generators of Aut(G), and one pass over the swaps that keeps each
 feasible replacement with one member of its coset; Fer(G) is generated by
 both.  One entry per label i holds the fixed group and the hang group,
 generated from the members of the cosets that a transversal of i's
-Aut-orbit turns into members fixing i.  The explicit cosets, E_G and E^i_G
-are listed only when asked for.
+Aut-orbit turns into members fixing i.  G* (G plus an isolated label)
+reuses G's record, and searches only the swaps that add an edge at that
+label.  The explicit cosets, E_G and E^i_G are listed only when asked for.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .lgraph import (
     label_isomorphisms,
 )
 from .permgroup import (
+    Permutation,
     PermutationGroup,
     flat,
     group_from_generators,
@@ -106,6 +108,12 @@ def _components_without(g: LabeledGraph, removed: tuple) -> dict:
     return component
 
 
+def _fixing(p: Permutation, domain: tuple, z) -> Permutation:
+    """p, a permutation of domain without z, extended by z -> z."""
+    image = dict(zip(p.domain + (z,), p.images + (z,)))
+    return Permutation(domain, [image[x] for x in domain])
+
+
 class _GraphMemo:
     """Everything fer derives from one label set and edge set, each part built once.
 
@@ -117,7 +125,7 @@ class _GraphMemo:
     of coset r fixing i are Aut_i∘τ_r with τ_r = u_j^-1∘σ_r, j = σ_r(i),
     when j lies in the orbit, and there are none otherwise.  Hence Fer^i(G)
     is generated by Aut_i and the τ_r, and the hang group by Aut(G) and the
-    τ_r; one entry per label holds both.
+    τ_r; one entry per label holds both.  G* builds on G's record (_parent).
     """
 
     def __init__(self, g: LabeledGraph):
@@ -132,9 +140,25 @@ class _GraphMemo:
         return self.cosets[r]
 
     @cached_property
+    def _parent(self) -> tuple:
+        """(record of h = g - z, z) if z is g's only isolated label and h has a
+        record, else (None, None).  Exact: for e1, e2 avoiding z, z stays
+        isolated, so g - e1 + e2 ≅ g exactly when h - e1 + e2 ≅ h.  Neither h
+        nor h - e1 + e2 (same degrees) has an isolated label, so
+        _matching_order puts z (score 0, every other at least 1) last, every
+        other pool is h's class list in the same order, and z's pool is {z}:
+        each search on g, the prefix-forced ones of automorphism_generators
+        too, visits h's nodes and then maps z to z."""
+        z = self.g.isolated()
+        parent = _records.get((tuple(x for x in self.g.labels if x not in z), self.g.edges))
+        return (parent, z[0]) if len(z) == 1 and parent is not None else (None, None)
+
+    @cached_property
     def swaps(self) -> dict:
         """Each non-neutral feasible replacement r, in edge order, to σ_r."""
         g = self.g
+        parent, z = self._parent
+        known = {} if parent is None else {(r.removed, r.added): r for r in parent.swaps}
         degree = {x: g.degree(x) for x in g.labels}
         swaps = {}
         absent = g.non_edges()
@@ -144,6 +168,11 @@ class _GraphMemo:
             bridge = component[a] != component[b]
             base = None
             for added in absent:
+                if parent is not None and z not in added:
+                    r = known.get((removed, added))
+                    if r is not None:
+                        swaps[r] = _fixing(parent.swaps[r], g.labels, z)
+                    continue
                 c, d = added
                 # Skip swaps that change the component count or degree multiset.
                 if bridge != (component[c] != component[d]):
@@ -163,6 +192,9 @@ class _GraphMemo:
 
     @cached_property
     def aut_gens(self) -> tuple:
+        parent, z = self._parent
+        if parent is not None:
+            return tuple(_fixing(p, self.g.labels, z) for p in parent.aut_gens)
         return automorphism_generators(self.g)
 
     @cached_property

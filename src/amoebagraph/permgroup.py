@@ -255,7 +255,7 @@ class PermutationGroup:
     def __contains__(self, p: Permutation) -> bool:
         if p.domain != self.domain:
             raise PermutationError("permutation domain does not match group domain")
-        return _sift(self._table, 0, p).is_identity
+        return _sift(self._table, 0, p)
 
     def elements(self) -> Iterator[Permutation]:
         """All group elements, as products of one entry (or the identity) per level."""
@@ -281,20 +281,18 @@ class PermutationGroup:
         }
 
 
-def _sift(table: dict, k: int, h: Permutation) -> Permutation:
-    """Strip h, which fixes the first k positions, through levels k, k+1, ...
-
-    Returns the identity exactly when h lies in the group those levels hold;
-    otherwise the residue at the first level whose entries miss its image.
-    """
+def _sift(table: dict, k: int, h: Permutation) -> bool:
+    """Whether h, which fixes the first k positions, lies in the group that
+    levels k, k+1, ... hold: h strips through every level exactly when the
+    residue is the identity, and stops at the first level missing its image."""
     for level in range(k, len(h.perm)):
         image = h.perm[level]
         if image != level:
             reps = table.get(level)
             if reps is None or image not in reps:
-                return h
+                return False
             h = compose(reps[image][1], h)
-    return h
+    return True
 
 
 def _sims_table(domain: tuple, generators) -> dict:
@@ -313,7 +311,7 @@ def _sims_table(domain: tuple, generators) -> dict:
     def add(k, p):
         # Levels k, k+1, ... are closed whenever add is entered, so the
         # sift decides membership in the group they hold.
-        if _sift(table, k, p).is_identity:
+        if _sift(table, k, p):
             return
         gens = level_gens.setdefault(k, [])
         gens.append(p)

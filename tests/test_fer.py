@@ -14,6 +14,7 @@ from amoebagraph import (
     LabeledGraph,
     Permutation,
     apply_replacement,
+    automorphism_generators,
     automorphism_group,
     comb_product,
     compose,
@@ -32,6 +33,8 @@ from amoebagraph import (
     hang_group,
     label_isomorphisms,
     parse_cycles,
+    relabel,
+    star,
     symmetric_group,
     wreath_product,
 )
@@ -499,3 +502,102 @@ def test_large_fer_groups_have_few_generators():
         group = fer_group(g)
         assert group.order == 40320
         assert len(group.generators) == 7
+
+
+# --------------------------------------------------------------- star records
+
+
+def _prefixed(g, prefix):
+    """g with prefix before every plain label, inside pairs too: the label order is kept."""
+
+    def name(x):
+        return (name(x[0]), name(x[1])) if isinstance(x, tuple) else prefix + x
+
+    return relabel(g, {x: name(x) for x in g.labels})
+
+
+def _searches(monkeypatch, g):
+    """The are_isomorphic calls that g's swap stage makes."""
+    import amoebagraph.fer as fer_module
+
+    original = fer_module.are_isomorphic
+    calls = []
+
+    def counted(h, target):
+        calls.append(h)
+        return original(h, target)
+
+    monkeypatch.setattr(fer_module, "are_isomorphic", counted)
+    feasible_replacements(g)
+    monkeypatch.setattr(fer_module, "are_isomorphic", original)
+    return len(calls)
+
+
+def test_star_record_from_g_record_matches_the_searches_on_g_star():
+    """G*'s Aut generators, each σ_r and the swaps, taken from G's record, are
+    what the searches on G* find.
+
+    Fresh labels keep the memo cold; '!' sorts before the new label '*1' and
+    '~' after it.  A "c-" copy of G* keeps the label order and has no parent
+    record, so its swaps map back in the same order.
+    """
+    import amoebagraph.fer as fer_module
+
+    graphs = [g for n in range(1, 7) for g in corpus(n)]
+    graphs += [family("path", n) for n in range(2, 15)]
+    graphs += [family("complete", n) for n in range(2, 9)]
+    graphs += [example(name) for name in EXAMPLE_NAMES]
+    graphs.append(comb_product(family("path", 4), family("path", 3)))
+    derived = 0
+    for k, g in enumerate(graphs):
+        for mark in "!~":
+            fresh = _prefixed(g.unrooted(), f"{mark}{k}-")
+            feasible_replacements(fresh)
+            s = star(fresh)
+            record = fer_module._memo(s)
+            if len(fresh.isolated()) == 0:
+                assert record._parent == (fer_module._memo(fresh), s.isolated()[0])
+                derived += 1
+            else:
+                assert record._parent == (None, None)
+            assert record.aut_gens == automorphism_generators(s)
+            for r, sigma in record.swaps.items():
+                assert sigma == first_isomorphism(apply_replacement(s, r), s)
+            cold = _prefixed(s, "c-")
+            back = dict(zip(cold.labels, s.labels))
+            assert [
+                EdgeReplacement(tuple(map(back.get, r.removed)), tuple(map(back.get, r.added)))
+                for r in fer_module._memo(cold).swaps
+            ] == list(record.swaps)
+    assert derived == 2 * 181  # the graphs with no isolated label, under both prefixes
+
+
+def test_star_record_without_a_parent_record_is_searched_cold(monkeypatch):
+    """No derivation for a G with an isolated label (G* has two), for a G
+    holding an isolated '*1' (G* adds '*2'), or for a G* built before G,
+    whose swap stage builds no record for G on demand."""
+    import amoebagraph.fer as fer_module
+
+    p3_isolated = LabeledGraph(("1", "2", "3", "4"), (("1", "2"), ("2", "3")))
+    holds_star = star(_prefixed(family("path", 4).unrooted(), "cold-p4-"))
+    for g in (_prefixed(p3_isolated, "cold-p3-"), holds_star):
+        feasible_replacements(g)
+        s = star(g)
+        assert _searches(monkeypatch, s) == _searches(monkeypatch, _prefixed(s, "c-"))
+    fresh = _prefixed(family("path", 6).unrooted(), "cold-first-")
+    feasible_replacements(star(fresh))
+    assert fer_module._memo(star(fresh))._parent == (None, None)
+    assert (fresh.labels, fresh.edges) not in fer_module._records
+
+
+def test_star_swap_stage_searches_only_swaps_at_the_new_label(monkeypatch):
+    """With G's record built, G*'s swap stage tests 4, 12 and 17 candidates
+    for path30, GH and b_family 3; searched cold, it tests 87, 138 and 36."""
+    for g, expected in (
+        (family("path", 30), 4),
+        (example("counterexample_GH_labeled"), 12),
+        (family("b_family", 3), 17),
+    ):
+        fresh = relabel(g.unrooted(), {x: f"star-pin-{flat(x)}" for x in g.labels})
+        feasible_replacements(fresh)
+        assert _searches(monkeypatch, star(fresh)) == expected
