@@ -13,11 +13,9 @@ import math
 from amoebagraph import (
     classify_graph,
     example,
+    fer_fixed_group,
     fer_group,
     find_skew,
-    fixed_generating_set,
-    group_from_generators,
-    orbits,
 )
 
 
@@ -34,8 +32,7 @@ def main() -> None:
     print("\ncopy blocks:", " ".join("{" + " ".join(b) + "}" for b in blocks))
     print("skew generator:", find_skew(gh, blocks) or "none found")
 
-    e1 = group_from_generators(fixed_generating_set(gh, "1"))
-    orbit = next(part for part in orbits(e1) if "2" in part)
+    orbit = next(part for part in fer_fixed_group(gh, "1").orbits if "2" in part)
     print("\nreplacements fixing label 1 move label 2 only inside its copy:")
     print("orbit of 2:", "{" + " ".join(orbit) + "}")
 

@@ -44,7 +44,6 @@ from .fer import (
     fer_coset,
     fer_fixed_group,
     fer_group,
-    fixed_generating_set,
     generating_set,
     hang_group,
 )
@@ -83,7 +82,6 @@ from .permgroup import (
     is_symmetric,
     is_transitive,
     minimal_block_system,
-    orbits,
     parse_cycles,
     preserves_partition,
     symmetric_group,

@@ -28,7 +28,6 @@ from .permgroup import (
     is_symmetric,
     is_transitive,
     label_key,
-    orbits,
     preserves_partition,
     wreath_product,
 )
@@ -76,7 +75,7 @@ def is_stem_transitive(g: LabeledGraph, i=None) -> bool:
     """Whether <E^i> acts transitively on the labels other than i."""
     i = _pick_root(g, i)
     # Fer^i(G) fixes i, so {i} is one orbit and the rest must be at most one more.
-    return len(orbits(fer_fixed_group(g, i))) <= 2
+    return len(fer_fixed_group(g, i).orbits) <= 2
 
 
 def has_root_similar_vertex(g: LabeledGraph, k=None) -> bool:
@@ -99,7 +98,7 @@ def check_theorem3(g: LabeledGraph, i=None) -> tuple:
     low = {x for x in g.labels if g.degree(x) <= 1}
     c = all(
         any(x in low for x in orbit)
-        for orbit in orbits(fer_fixed_group(g, i))
+        for orbit in fer_fixed_group(g, i).orbits
         if set(orbit) != {i}
     )
     return (a, b, c)

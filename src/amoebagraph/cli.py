@@ -17,7 +17,7 @@ from . import classify as cls
 from . import construct, oracle
 from .fer import fer_fixed_group, fer_group, hang_group
 from .lgraph import FormatError, GraphError, LabeledGraph, from_json, to_dot, to_json
-from .permgroup import PermutationError, cycle_notation, flat, is_symmetric, orbits
+from .permgroup import PermutationError, cycle_notation, flat, is_symmetric
 
 ENGINE_LIMIT = 30
 
@@ -136,7 +136,7 @@ def _select_group(g: LabeledGraph, args):
 def _do_fer(args) -> int:
     g = _read_graph(args.file, _limit(args, ENGINE_LIMIT))
     group, description = _select_group(g, args)
-    parts = orbits(group)
+    parts = group.orbits
     if args.format == "json":
         payload = group.to_json()
         payload["orbits"] = [[flat(x) for x in orbit] for orbit in parts]
@@ -155,7 +155,7 @@ def _do_fer(args) -> int:
 def _do_orbits(args) -> int:
     g = _read_graph(args.file, _limit(args, ENGINE_LIMIT))
     group, _ = _select_group(g, args)
-    parts = orbits(group)
+    parts = group.orbits
     if args.format == "json":
         _write(
             json.dumps([[flat(x) for x in orbit] for orbit in parts], indent=2) + "\n",

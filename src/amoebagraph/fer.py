@@ -22,7 +22,8 @@ both.  One entry per label i holds the fixed group and the hang group,
 generated from the members of the cosets that a transversal of i's
 Aut-orbit turns into members fixing i.  G* (G plus an isolated label)
 reuses G's record, and searches only the swaps that add an edge at that
-label.  The explicit cosets, E_G and E^i_G are listed only when asked for.
+label.  Only fer_coset and generating_set list permutations: the explicit
+cosets and E_G, built when asked for.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class _GraphMemo:
     def __init__(self, g: LabeledGraph):
         self.g = g
         self.cosets = {}
-        self.fixed_sets = {}
         self.groups_at = {}
 
     def coset(self, r: EdgeReplacement) -> tuple:
@@ -207,11 +207,6 @@ class _GraphMemo:
         gens = self.aut_gens + tuple(self.swaps.values())
         return group_from_generators(gens, domain=self.g.labels)
 
-    def fixed_set(self, i) -> tuple:
-        if i not in self.fixed_sets:
-            self.fixed_sets[i] = tuple(p for p in self.generating_set if p(i) == i)
-        return self.fixed_sets[i]
-
     def at(self, i) -> tuple:
         """Fer^i(G) and the hang group at i, both generated with the τ_r."""
         if i not in self.groups_at:
@@ -267,13 +262,8 @@ def fer_group(g: LabeledGraph) -> PermutationGroup:
     return _memo(g).group
 
 
-def fixed_generating_set(g: LabeledGraph, i) -> tuple:
-    """E^i_G: the members of E_G fixing label i."""
-    return _memo(g, i).fixed_set(i)
-
-
 def fer_fixed_group(g: LabeledGraph, i) -> PermutationGroup:
-    """Fer^i(G) = <E^i_G>."""
+    """Fer^i(G) = <E^i_G>, E^i_G being the members of E_G fixing label i."""
     return _memo(g, i).at(i)[0]
 
 

@@ -103,10 +103,6 @@ class LabeledGraph:
         return {x: (len(adj[x]), tuple(sorted(len(adj[y]) for y in adj[x]))) for x in adj}
 
     @cached_property
-    def _edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
-    @cached_property
     def _order(self) -> tuple:
         """The unforced matching order, built once for every search on this graph."""
         return tuple(_matching_order(self))
@@ -138,7 +134,8 @@ class LabeledGraph:
         return len(self.neighbors(x))
 
     def has_edge(self, u, v) -> bool:
-        return _canonical_edge(u, v) in self._edge_set
+        u, v = _canonical_edge(u, v)
+        return v in self._adjacency.get(u, ())
 
     def leaves(self) -> tuple:
         """Labels of degree exactly 1."""
@@ -162,7 +159,7 @@ class LabeledGraph:
         pair = _canonical_edge(u, v)
         if u not in self._adjacency or v not in self._adjacency:
             raise GraphError(f"edge endpoint not a label: {flat(u)!r}-{flat(v)!r}")
-        if pair in self._edge_set:
+        if v in self._adjacency[u]:
             raise GraphError(f"edge {flat(u)!r}-{flat(v)!r} already present")
         edges = list(self.edges)
         bisect.insort(edges, pair, key=_edge_key)
@@ -170,9 +167,9 @@ class LabeledGraph:
 
     def remove_edge(self, u, v) -> "LabeledGraph":
         """A copy with the edge removed; the edge must be present."""
-        pair = _canonical_edge(u, v)
-        if pair not in self._edge_set:
+        if not self.has_edge(u, v):
             raise GraphError(f"edge {flat(u)!r}-{flat(v)!r} not present")
+        pair = _canonical_edge(u, v)
         edges = list(self.edges)
         edges.remove(pair)
         return self._edited(edges, pair, frozenset.difference)

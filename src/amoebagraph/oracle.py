@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import permutations as all_orderings
 from typing import Iterator
 
-from .fer import EdgeReplacement, apply_replacement
 from .lgraph import LabeledGraph, _canonical_edge, _edge_key
 from .permgroup import Permutation
 
@@ -59,15 +58,17 @@ def brute_automorphisms(g: LabeledGraph) -> list:
     return _edge_filter(g, g.edges)
 
 
-def brute_coset(g: LabeledGraph, r: EdgeReplacement) -> list:
-    """Fer_G(r) by the full n! filter (n <= 8).
+def brute_coset(g: LabeledGraph, r) -> list:
+    """Fer_G(r) by the full n! filter (n <= 8), for a swap r with fields
+    removed and added, both None for the neutral swap.
 
     Empty when g - removed + added is not isomorphic to g; GraphError, as from
     fer_coset, when the removed edge is absent or the added one present.
     """
     if len(g.labels) > COSET_LIMIT:
         raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
-    return _edge_filter(g, apply_replacement(g.unrooted(), r).edges)
+    replaced = g if r.removed is None else g.remove_edge(*r.removed).add_edge(*r.added)
+    return _edge_filter(g, replaced.edges)
 
 
 @dataclass(frozen=True)

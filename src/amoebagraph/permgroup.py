@@ -2,11 +2,12 @@
 
 Labels are strings, or nested (b, x) pairs coming from comb products.
 Permutations are immutable bijections on a canonically ordered domain,
-stored once, as image positions; groups carry a deterministic Sims table,
-built by Knuth's sift-and-close algorithm, giving exact orders
-(arbitrary-precision ints), membership tests and element listings.  Each
-group also caches its orbit partition, found by one breadth-first walk over
-positions, so orbit and transitivity questions never build a table.
+stored once, as image positions; groups are held by their generators and
+carry a deterministic Sims table, built by Knuth's sift-and-close
+algorithm, giving exact orders (arbitrary-precision ints) and membership
+tests without listing any element.  Each group also caches its orbit
+partition, found by one breadth-first walk over positions, so orbit and
+transitivity questions never build a table.
 Minimal block systems come from Atkinson's merge over positions.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class PermutationError(ValueError):
@@ -257,22 +258,6 @@ class PermutationGroup:
             raise PermutationError("permutation domain does not match group domain")
         return _sift(self._table, 0, p)
 
-    def elements(self) -> Iterator[Permutation]:
-        """All group elements, as products of one entry (or the identity) per level."""
-
-        def walk(levels, acc):
-            if not levels:
-                yield acc
-                return
-            yield from walk(levels[1:], acc)
-            for u, _inverse in levels[0].values():
-                yield from walk(levels[1:], compose(acc, u))
-
-        yield from walk(list(self._table.values()), self.identity())
-
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.domain)
-
     def to_json(self) -> dict:
         return {
             "domain": [flat(x) for x in self.domain],
@@ -396,11 +381,6 @@ def symmetric_group(labels) -> PermutationGroup:
     if len(domain) == 2:
         gens = gens[:1]
     return PermutationGroup(domain, tuple(gens))
-
-
-def orbits(group: PermutationGroup) -> tuple:
-    """Orbit partition of the domain, canonically sorted (cached on the group)."""
-    return group.orbits
 
 
 def is_transitive(group: PermutationGroup) -> bool:

@@ -33,9 +33,11 @@ from amoebagraph import (
     is_local_amoeba,
     is_stem_symmetric,
     is_stem_transitive,
+    is_block_system,
     is_symmetric,
+    is_transitive,
     has_root_similar_vertex,
-    orbits,
+    minimal_block_system,
     pair_blocks,
     preserves_partition,
     reachability,
@@ -44,6 +46,7 @@ from amoebagraph import (
 )
 from amoebagraph import permgroup
 from amoebagraph.construct import EXAMPLE_NAMES
+from amoebagraph.permgroup import sorted_domain
 
 C4 = LabeledGraph(("1", "2", "3", "4"), (("1", "2"), ("2", "3"), ("3", "4"), ("1", "4")))
 K1 = LabeledGraph(("1",))
@@ -379,8 +382,60 @@ def test_classify_flags_match_plain_table_orders():
             assert is_symmetric(group) == (group.order == math.factorial(len(group.domain)))
         # Stem-transitivity as first defined: every orbit of Fer^i off i is all of X - {i}.
         rest = {x for x in g.labels if x != i}
-        off_root = [set(o) for o in orbits(fer_fixed_group(g, i)) if i not in o]
+        off_root = [set(o) for o in fer_fixed_group(g, i).orbits if i not in o]
         assert report.stem_transitive_at_root == all(o == rest for o in off_root), g
+
+
+# ---------------------------------------------------------------- relabelling
+
+
+def _parts(parts) -> set:
+    return None if parts is None else {frozenset(part) for part in parts}
+
+
+def _witness_in_order(group, order):
+    """group.block_witness with the domain read in the given order instead."""
+    if not is_transitive(group):
+        return None
+    systems = (minimal_block_system(group, (order[0], x)) for x in order[1:])
+    return next((system for system in systems if len(system) > 1), None)
+
+
+def test_classify_does_not_depend_on_the_label_names():
+    """Each graph of _rule_cases, renamed by a seeded random bijection onto
+    fresh labels (so at other domain positions), has the same order, flags and
+    orbits.  The block witness is the first system in domain order, so the
+    renamed graph's, mapped back, is the one that order picks in g's group."""
+    rng = random.Random(1)
+    for g in _rule_cases():
+        names = [f"relabel-{k}" for k in rng.sample(range(10_000), len(g.labels))]
+        back = dict(zip(names, g.labels))
+        a, b = classify_graph(g), classify_graph(relabel(g, dict(zip(g.labels, names))))
+        assert back[b.root] == a.root
+        for field in ("fer_order", "local_amoeba", "global_amoeba", "stem_symmetric_at_root",
+                      "hang_symmetric_at_root", "stem_transitive_at_root",
+                      "has_root_similar_vertex"):
+            assert getattr(a, field) == getattr(b, field), (g, field)
+        mapped = [[back[x] for x in o] for o in b.fer_orbits]
+        assert _parts(mapped) == _parts(a.fer_orbits), g
+        order = [back[x] for x in sorted_domain(names)]
+        blocks = None if b.block_system is None else [[back[x] for x in o] for o in b.block_system]
+        assert _parts(blocks) == _parts(_witness_in_order(fer_group(g), order)), g
+
+
+def test_the_block_witness_of_c6_depends_on_the_label_order():
+    """Fer(C6) is Aut(C6), with two nontrivial block systems through "1": the
+    triangles and the antipodal pairs.  The witness joins domain[0] to the
+    first label that gives a nontrivial system, so renaming 4 to sort second
+    turns the witness from the triangles into the pairs; both are blocks."""
+    c6 = LabeledGraph(tuple("123456"), tuple(zip("123456", "234561")))
+    names = dict(zip("142356", "abcdef"))
+    back = {y: x for x, y in names.items()}
+    triangles = classify_graph(c6).block_system
+    pairs = [[back[x] for x in o] for o in classify_graph(relabel(c6, names)).block_system]
+    assert _parts(triangles) == _parts(["135", "246"])
+    assert _parts(pairs) == _parts(["14", "25", "36"])
+    assert is_block_system(fer_group(c6), triangles) and is_block_system(fer_group(c6), pairs)
 
 
 def test_sims_tables_built_classifying_corpus5_at_every_root(monkeypatch):

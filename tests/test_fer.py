@@ -15,7 +15,6 @@ from amoebagraph import (
     Permutation,
     apply_replacement,
     automorphism_generators,
-    automorphism_group,
     comb_product,
     compose,
     corpus,
@@ -27,7 +26,6 @@ from amoebagraph import (
     fer_coset,
     fer_fixed_group,
     fer_group,
-    fixed_generating_set,
     generating_set,
     group_from_generators,
     hang_group,
@@ -39,6 +37,7 @@ from amoebagraph import (
     wreath_product,
 )
 from amoebagraph.construct import EXAMPLE_NAMES
+from amoebagraph.oracle import brute_automorphisms
 from amoebagraph.permgroup import flat, label_key
 
 P2_STAR = LabeledGraph(("1", "2", "3"), (("1", "2"),))  # P2 plus an isolated label
@@ -179,9 +178,7 @@ def test_feasible_search_isomorphism_calls_are_pinned(monkeypatch):
 def test_neutral_coset_is_the_automorphism_group():
     for g in (family("path", 3).unrooted(), P2_STAR, example("fig1")):
         coset = fer_coset(g, EdgeReplacement())
-        assert {p.images for p in coset} == {
-            p.images for p in automorphism_group(g).elements()
-        }
+        assert set(coset) == set(brute_automorphisms(g))
 
 
 def test_worked_coset_example():
@@ -206,7 +203,7 @@ def test_coset_matches_exhaustive_filter():
 def test_cosets_are_left_translates_of_aut():
     """|coset| = |A_G| and coset = {a . s0 : a in A_G} on all 4-vertex graphs."""
     for g in corpus(4):
-        aut = list(automorphism_group(g).elements())
+        aut = brute_automorphisms(g)
         for r in feasible_replacements(g):
             coset = fer_coset(g, r)
             assert len(coset) == len(aut)
@@ -248,14 +245,14 @@ def test_generating_set_contains_aut_and_dedups():
     for g in corpus(4):
         egs = [p.images for p in generating_set(g)]
         assert len(egs) == len(set(egs))
-        aut = {p.images for p in automorphism_group(g).elements()}
+        aut = {p.images for p in brute_automorphisms(g)}
         assert aut <= set(egs)
 
 
 def test_generating_set_closed_under_left_multiplication_by_aut():
     for g in corpus(4):
         egs = {p.images for p in generating_set(g)}
-        for a in automorphism_group(g).elements():
+        for a in brute_automorphisms(g):
             for p in generating_set(g):
                 assert compose(a, p).images in egs
 
@@ -293,16 +290,15 @@ def test_fer_group_ignores_the_root():
 # --------------------------------------------------------- fixed / hang groups
 
 
-def test_fixed_generating_set_of_p2_is_identity_only():
-    assert [str(p) for p in fixed_generating_set(family("path", 2).unrooted(), "1")] == [
-        "()"
-    ]
+def test_fixed_group_of_p2_is_trivial():
+    fixed = fer_fixed_group(family("path", 2).unrooted(), "1")
+    assert fixed.generators == () and fixed.order == 1
 
 
-def test_fixed_generating_set_fixes_the_label():
+def test_fixed_group_generators_fix_the_label():
     for g in corpus(4):
         for i in g.labels:
-            assert all(p(i) == i for p in fixed_generating_set(g, i))
+            assert all(p(i) == i for p in fer_fixed_group(g, i).generators)
 
 
 def test_fixed_group_of_p3_center():
@@ -383,7 +379,7 @@ def test_leaf_extension_into_a_bridged_union():
     for h, x, j, y in cases:
         g = glue(h, j, x, y)
         egs = {p.images for p in generating_set(g)}
-        for alpha in fixed_generating_set(h, x):
+        for alpha in (p for p in generating_set(h) if p(x) == x):
             extended = Permutation.from_mapping(
                 dict(zip(alpha.domain, alpha.images)) | {z: z for z in j.labels}
             )
@@ -411,13 +407,36 @@ def test_groups_from_representatives_match_the_listed_generating_sets():
             )
             aut = fer_coset(g, EdgeReplacement())
             for i in labels:
-                fixed = fixed_generating_set(g, i)
+                fixed = tuple(p for p in generating_set(g) if p(i) == i)
                 assert_same_group(
                     fer_fixed_group(g, i), group_from_generators(fixed, domain=labels)
                 )
                 assert_same_group(
                     hang_group(g, i), group_from_generators(fixed + aut, domain=labels)
                 )
+
+
+def test_the_complement_has_the_reversed_swaps_and_the_same_groups():
+    """Embedding commutes with complement, so g - e1 + e2 = embed(g, p) exactly
+    when co-g - e2 + e1 = embed(co-g, p): Fer_G(e1 -> e2) = Fer_co-G(e2 -> e1),
+    and Fer, Fer^i and the hang group of G and its complement are equal.
+    corpus(1..6) and paths on 2-8 labels: 215 graphs."""
+    graphs = [g for n in range(1, 7) for g in corpus(n)]
+    graphs += [family("path", n).unrooted() for n in range(2, 9)]
+    assert len(graphs) == 215
+    for g in graphs:
+        co = LabeledGraph(g.labels, g.non_edges())
+        swaps = feasible_replacements(g)[1:]
+        assert {(r.added, r.removed) for r in swaps} == {
+            (r.removed, r.added) for r in feasible_replacements(co)[1:]
+        }
+        for r in (EdgeReplacement(), *swaps):
+            reversed_ = EdgeReplacement(r.added, r.removed)
+            assert fer_coset(g, r) == fer_coset(co, reversed_), (g, r)
+        assert_same_group(fer_group(g), fer_group(co))
+        for i in g.labels:
+            assert_same_group(fer_fixed_group(g, i), fer_fixed_group(co, i))
+            assert_same_group(hang_group(g, i), hang_group(co, i))
 
 
 # ----------------------------------------------------------------------- memo

@@ -168,10 +168,7 @@ def test_embed_by_inverse_undoes(g, p):
 def test_label_isomorphisms_of_a_graph_with_itself_is_aut():
     p3 = family("path", 3).unrooted()
     assert label_isomorphisms(p3, p3) == tuple(
-        sorted(
-            automorphism_group(p3).elements(),
-            key=lambda p: p.images,
-        )
+        sorted(brute_automorphisms(p3), key=lambda p: p.images)
     )
 
 
@@ -304,7 +301,7 @@ def test_hang_symm_8_has_the_captioned_automorphism():
     aut = automorphism_group(g)
     assert aut.order == 2
     flip = parse_cycles("(1 4)(2 3)(5 8)(6 7)", g.labels)
-    assert flip in {p for p in aut.elements()}
+    assert flip in aut
 
 
 # ----------------------------------------------------------------------- JSON

@@ -5,6 +5,8 @@ shares no code path with the Sims-table engine; agreement here is what
 lets the frozen orders elsewhere in the suite stand on two legs.
 """
 
+import ast
+import inspect
 import math
 from itertools import islice
 
@@ -29,6 +31,7 @@ from amoebagraph import (
     reachability,
     relabel,
 )
+from amoebagraph import oracle
 
 K3_PLUS_K1 = LabeledGraph(("1", "2", "3", "4"), (("1", "2"), ("1", "3"), ("2", "3")))
 
@@ -36,10 +39,16 @@ K3_PLUS_K1 = LabeledGraph(("1", "2", "3", "4"), (("1", "2"), ("1", "3"), ("2", "
 # ------------------------------------------------------------- brute vs engine
 
 
+def assert_same_members(listed, group):
+    """A list of distinct members of group, as long as its order, is all of it."""
+    assert len(set(listed)) == len(listed) == group.order
+    assert all(p in group for p in listed)
+
+
 def test_brute_automorphisms_agree_with_the_engine_up_to_five_labels():
     for n in (1, 2, 3, 4, 5):
         for g in corpus(n):
-            assert set(brute_automorphisms(g)) == set(automorphism_group(g).elements())
+            assert_same_members(brute_automorphisms(g), automorphism_group(g))
 
 
 def test_brute_automorphisms_agree_on_a_six_label_spot_check():
@@ -47,7 +56,7 @@ def test_brute_automorphisms_agree_on_a_six_label_spot_check():
         K3_PLUS_K1, relabel(family("path", 2), {"1": "5", "2": "6"})
     )
     for g in (family("path", 6), mixed_components):
-        assert set(brute_automorphisms(g)) == set(automorphism_group(g).elements())
+        assert_same_members(brute_automorphisms(g), automorphism_group(g))
 
 
 def test_brute_cosets_agree_with_the_engine_up_to_five_labels():
@@ -80,9 +89,23 @@ def test_brute_coset_of_an_infeasible_replacement_is_empty():
 
 @pytest.mark.parametrize("coset", [brute_coset, fer_coset])
 def test_a_replacement_that_cannot_be_applied_raises_on_both_routes(coset):
-    """In P3 the edge 13 is absent and 12 present: GraphError, not an empty coset."""
+    """In P3 the edge 13 is absent and 12, 23 present: GraphError, not an empty coset."""
     with pytest.raises(GraphError):
         coset(family("path", 3), EdgeReplacement(("1", "3"), ("1", "2")))
+    with pytest.raises(GraphError):
+        coset(family("path", 3), EdgeReplacement(("1", "2"), ("2", "3")))
+
+
+def test_the_oracle_imports_nothing_from_fer():
+    """The oracle is the route that checks fer, so it must not call into it."""
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not [name for name in imported if "fer" in name.split(".")]
 
 
 # --------------------------------------------------------------- reachability
