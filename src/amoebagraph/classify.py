@@ -228,7 +228,10 @@ def classify_graph(g: LabeledGraph) -> ClassificationReport:
     4. a transitive group holding a point's full stabilizer in Sym is Sym:
        Fer(G*) holds Fer(G) fixing the new label, so for a local G it is
        Sym exactly when transitive; the hang group holds Fer^i(G), which
-       fixes i, so at a stem-symmetric i it is Sym exactly when transitive.
+       fixes i, so at a stem-symmetric i it is Sym exactly when transitive;
+    5. a group moving one orbit of m >= 8 labels holds Alt of it when one of
+       80 fixed words has a cycle of prime length p, m/2 < p < m - 2 (Jordan),
+       and its order is then m! or m!/2, with no table (_jordan_order).
     """
     group = fer_group(g)
     n = len(g.labels)

@@ -155,24 +155,22 @@ class _GraphMemo:
 
     @cached_property
     def swaps(self) -> dict:
-        """Each non-neutral feasible replacement r, in edge order, to σ_r."""
+        """Each non-neutral feasible replacement r, in edge order, to σ_r.  G*
+        takes G's and searches only swaps adding an edge at z (so e1 a bridge)."""
         g = self.g
         parent, z = self._parent
-        known = {} if parent is None else {(r.removed, r.added): r for r in parent.swaps}
-        degree = {x: g.degree(x) for x in g.labels}
-        swaps = {}
         absent = g.non_edges()
+        swaps, tried = {}, absent
+        if parent is not None:
+            swaps = {r: _fixing(s, g.labels, z) for r, s in parent.swaps.items()}
+            tried = [added for added in absent if z in added]
+        degree = {x: g.degree(x) for x in g.labels}
         for removed in g.edges:
             a, b = removed
             component = _components_without(g, removed)
             bridge = component[a] != component[b]
             base = None
-            for added in absent:
-                if parent is not None and z not in added:
-                    r = known.get((removed, added))
-                    if r is not None:
-                        swaps[r] = _fixing(parent.swaps[r], g.labels, z)
-                    continue
+            for added in tried:
                 c, d = added
                 # Skip swaps that change the component count or degree multiset.
                 if bridge != (component[c] != component[d]):
@@ -188,7 +186,8 @@ class _GraphMemo:
                 replaced = base.add_edge(*added)
                 if are_isomorphic(replaced, g):
                     swaps[EdgeReplacement(removed, added)] = first_isomorphism(replaced, g)
-        return swaps
+        at = {e: k for k, e in enumerate(g.edges + absent)}
+        return dict(sorted(swaps.items(), key=lambda rs: (at[rs[0].removed], at[rs[0].added])))
 
     @cached_property
     def aut_gens(self) -> tuple:

@@ -5,9 +5,10 @@ Permutations are immutable bijections on a canonically ordered domain,
 stored once, as image positions; groups are held by their generators and
 carry a deterministic Sims table, built by Knuth's sift-and-close
 algorithm, giving exact orders (arbitrary-precision ints) and membership
-tests without listing any element.  Each group also caches its orbit
-partition, found by one breadth-first walk over positions, so orbit and
-transitivity questions never build a table.
+tests without listing any element; a group that Jordan's theorem shows
+to hold Alt of the one orbit it moves gets its order without one.  Each
+group also caches its orbit partition, found by one breadth-first walk over
+positions, so orbit and transitivity questions never build a table.
 Minimal block systems come from Atkinson's merge over positions.
 """
 
@@ -104,11 +105,6 @@ class Permutation:
         return tuple([self.domain[k] for k in self.perm])
 
     @classmethod
-    def identity(cls, labels) -> "Permutation":
-        domain = sorted_domain(labels)
-        return cls(domain, domain)
-
-    @classmethod
     def from_mapping(cls, mapping: dict) -> "Permutation":
         domain = sorted_domain(mapping)
         return cls(domain, tuple(mapping[x] for x in domain))
@@ -160,22 +156,26 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     return _unchecked(a.domain, tuple([ap[j] for j in b.perm]))
 
 
-def cycle_notation(p: Permutation) -> str:
-    """Cycle notation over flattened labels, e.g. "(1 4)(2 3)"; identity "()"."""
-    perm, domain = p.perm, p.domain
+def _cycles(perm: tuple) -> list:
+    """Cycles of length >= 2 of image positions, each from its smallest one."""
     seen = set()
-    parts = []
+    cycles = []
     for start in range(len(perm)):
         if start in seen or perm[start] == start:
             continue
         cycle = [start]
-        seen.add(start)
         k = perm[start]
         while k != start:
             cycle.append(k)
-            seen.add(k)
             k = perm[k]
-        parts.append("(" + " ".join(flat(domain[c]) for c in cycle) + ")")
+        seen.update(cycle)
+        cycles.append(cycle)
+    return cycles
+
+
+def cycle_notation(p: Permutation) -> str:
+    """Cycle notation over flattened labels, e.g. "(1 4)(2 3)"; identity "()"."""
+    parts = ["(" + " ".join(flat(p.domain[k]) for k in c) + ")" for c in _cycles(p.perm)]
     return "".join(parts) if parts else "()"
 
 
@@ -224,7 +224,7 @@ class PermutationGroup:
 
     @cached_property
     def order(self) -> int:
-        return math.prod(len(reps) + 1 for reps in self._table.values())
+        return _jordan_order(self) or math.prod(len(reps) + 1 for reps in self._table.values())
 
     @cached_property
     def orbits(self) -> tuple:
@@ -264,6 +264,44 @@ class PermutationGroup:
             "generators": [cycle_notation(g) for g in self.generators],
             "order": str(self.order),
         }
+
+
+def _jordan_order(group: PermutationGroup) -> Optional[int]:
+    """m! or m!/2 if the group holds Alt of the one orbit it moves, of m >= 8
+    labels, by Jordan's test (Dixon & Mortimer, Thm 3.3E; sympy's is_alt_sym):
+    a transitive group of degree m >= 8 with an element having a cycle of
+    prime length p, m/2 < p < m - 2, holds Alt(m), and acting faithfully it is
+    Sym exactly when a generator is odd.  The elements tried are 80 product-
+    replacement words (sympy's random_pr, >= 10 slots) from an inline LCG, the
+    same in every process and Python version.  None: no word certified."""
+    moved = [orbit for orbit in group.orbits if len(orbit) > 1]
+    m = len(moved[0]) if len(moved) == 1 else 0
+    primes = {p for p in range(m // 2 + 1, m - 2) if all(p % d for d in range(2, p))}
+    if not primes:  # empty exactly when m < 8
+        return None
+    gens = [g.perm for g in group.generators]
+    slots = [gens[k % len(gens)] for k in range(max(10, len(gens)))]
+    word = positions = tuple(range(len(group.domain)))
+    state = [1]
+
+    def draw(bound):
+        state[0] = (state[0] * 6364136223846793005 + 1442695040888963407) % 2**64
+        return (state[0] >> 33) % bound
+
+    for _ in range(80):
+        s, t = draw(len(slots)), draw(len(slots) - 1)
+        t = len(slots) - 1 if t == s else t
+        b = slots[t] if draw(2) else tuple(sorted(positions, key=slots[t].__getitem__))
+        if draw(2):
+            slots[s] = tuple([slots[s][j] for j in b])
+            word = tuple([word[j] for j in slots[s]])
+        else:
+            slots[s] = tuple([b[j] for j in slots[s]])
+            word = tuple([slots[s][j] for j in word])
+        if any(len(c) in primes for c in _cycles(word)):
+            odd = any(sum(len(c) - 1 for c in _cycles(g)) % 2 for g in gens)
+            return math.factorial(m) // (1 if odd else 2)
+    return None
 
 
 def _sift(table: dict, k: int, h: Permutation) -> bool:

@@ -319,7 +319,7 @@ def test_order_eight_wreath_subgroup_is_maximal_in_s4():
     started = time.perf_counter()
     domain = ("1", "2", "3", "4")
     everyone = [Permutation(domain, images) for images in permutations(domain)]
-    ident = Permutation.identity(domain)
+    ident = Permutation(domain, domain)
 
     def closed_over(seed):
         elems = set(seed) | {ident}

@@ -452,3 +452,22 @@ def test_sims_tables_built_classifying_corpus5_at_every_root(monkeypatch):
     for g in corpus(5, rooted=True):
         classify_graph(relabel(g, {x: "sims-pin-" + x for x in g.labels}))
     assert len(calls) == 128
+
+
+def test_thirty_label_sym_shapes_classify_without_a_sims_table(monkeypatch):
+    """Work pin: every Sym question of path30, K30 and the edgeless graph on 30
+    labels is answered by Jordan's certificate (cold memo, fresh labels)."""
+    calls = []
+    table = permgroup._sims_table
+
+    def counted(domain, generators):
+        calls.append(None)
+        return table(domain, generators)
+
+    monkeypatch.setattr(permgroup, "_sims_table", counted)
+    edgeless = LabeledGraph(tuple(str(k) for k in range(1, 31)))
+    for g in (family("path", 30), family("complete", 30), edgeless):
+        fresh = relabel(g, {x: "jordan-pin-" + x for x in g.labels})
+        report = classify_graph(fresh.with_root("jordan-pin-1"))
+        assert report.local_amoeba and report.fer_order == math.factorial(30)
+    assert calls == []

@@ -128,7 +128,7 @@ def test_relabel_requires_a_bijection():
 
 
 def test_embed_identity_is_the_graph():
-    assert embed(FIG1, Permutation.identity(DOM5)) == FIG1
+    assert embed(FIG1, Permutation(DOM5, DOM5)) == FIG1
 
 
 def test_embed_345_cycle_keeps_the_edge_labels():

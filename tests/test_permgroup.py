@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoebagraph import (
+    LabeledGraph,
     Permutation,
     PermutationError,
     comb_product,
@@ -21,19 +22,23 @@ from amoebagraph import (
     cycle_notation,
     example,
     family,
+    fer_fixed_group,
     fer_group,
     generating_set,
     group_from_generators,
+    hang_group,
     is_block_system,
     is_symmetric,
     is_transitive,
     minimal_block_system,
     parse_cycles,
     preserves_partition,
+    star,
     symmetric_group,
     wreath_product,
 )
 from amoebagraph import permgroup
+from amoebagraph.construct import EXAMPLE_NAMES
 from amoebagraph.permgroup import label_key
 
 DOM3 = ("1", "2", "3")
@@ -52,7 +57,7 @@ def perms_on(labels):
 
 def naive_closure(gens, domain):
     """Independent group oracle: image tuples of all BFS products until closed."""
-    frontier = {Permutation.identity(domain).images}
+    frontier = {Permutation(domain, domain).images}
     gens = [g.images for g in gens]
     seen = set(frontier)
     while frontier:
@@ -85,7 +90,7 @@ def test_construction_validates():
 
 
 def test_identity_and_call():
-    e = Permutation.identity(DOM3)
+    e = Permutation(DOM3, DOM3)
     assert e.is_identity and e("2") == "2"
     p = perm("(1 2)")
     assert p("1") == "2" and p("2") == "1" and p("3") == "3"
@@ -96,8 +101,8 @@ def test_identity_and_call():
 def test_compose_identity_cases():
     """compose(id, p) = p and an involution squares to the identity."""
     p = perm("(1 2)")
-    assert compose(Permutation.identity(DOM3), p) == p
-    assert compose(p, Permutation.identity(DOM3)) == p
+    assert compose(Permutation(DOM3, DOM3), p) == p
+    assert compose(p, Permutation(DOM3, DOM3)) == p
     assert compose(p, p).is_identity
 
 
@@ -120,7 +125,7 @@ def test_relabeled():
 
 
 def test_cycle_notation():
-    assert cycle_notation(Permutation.identity(DOM3)) == "()"
+    assert cycle_notation(Permutation(DOM3, DOM3)) == "()"
     assert cycle_notation(perm("(1 2 3)")) == "(1 2 3)"
     dom4 = ("1", "2", "3", "4")
     assert cycle_notation(parse_cycles("(1 4)(2 3)", dom4)) == "(1 4)(2 3)"
@@ -170,7 +175,7 @@ def test_cycle_notation_round_trips(p):
 
 def test_empty_generators_need_a_domain():
     g = group_from_generators([], domain=DOM3)
-    assert g.order == 1 and Permutation.identity(DOM3) in g
+    assert g.order == 1 and Permutation(DOM3, DOM3) in g
     with pytest.raises(PermutationError):
         group_from_generators([])
 
@@ -236,7 +241,7 @@ def test_compose_count_of_the_counterexample_order_is_pinned(monkeypatch):
 
 def test_contains():
     g = symmetric_group(DOM3)
-    assert Permutation.identity(DOM3) in g
+    assert Permutation(DOM3, DOM3) in g
     a3 = group_from_generators([perm("(1 2 3)")])
     assert perm("(1 2)") not in a3  # odd permutation, even group
     assert perm("(1 3 2)") in a3
@@ -518,3 +523,105 @@ def test_wreath_elements_preserve_their_blocks():
     w = wreath_product(s, t)
     blocks = tuple(tuple((b, x) for b in ("a", "b")) for x in ("1", "2", "3"))
     assert is_block_system(w, blocks)
+
+
+# ------------------------------------------------------- Jordan's certificate
+
+
+def table_order(group) -> int:
+    table = permgroup._sims_table(group.domain, group.generators)
+    return math.prod(len(reps) + 1 for reps in table.values())
+
+
+def fer_type_groups(g):
+    """Fer(G), Fer(G plus an isolated label), and Fer^i and the hang group at every label."""
+    yield fer_group(g)
+    yield fer_group(star(g))
+    for i in g.labels:
+        yield fer_fixed_group(g, i)
+        yield hang_group(g, i)
+
+
+def count_tables(monkeypatch) -> list:
+    calls = []
+    table = permgroup._sims_table
+
+    def counted(domain, generators):
+        calls.append(None)
+        return table(domain, generators)
+
+    monkeypatch.setattr(permgroup, "_sims_table", counted)
+    return calls
+
+
+def test_certified_orders_equal_the_table_orders():
+    """Every order the certificate gives equals the built table's; and every
+    group here that holds Alt of its one moved orbit of >= 8 labels is
+    certified, so the fixed words suffice on all of them."""
+    graphs = [family("path", n) for n in range(8, 17)]
+    graphs += [family("complete", n) for n in range(8, 13)]
+    graphs += [example(name) for name in EXAMPLE_NAMES] + [family("b_family", 3)]
+    certified = 0
+    for g in graphs:
+        for group in fer_type_groups(g):
+            cert, order = permgroup._jordan_order(group), table_order(group)
+            moved = [orbit for orbit in group.orbits if len(orbit) > 1]
+            m = len(moved[0]) if len(moved) == 1 else 0
+            assert cert in (None, order), g
+            assert (cert is not None) == (m >= 8 and 2 * order >= math.factorial(m)), g
+            certified += cert is not None
+    assert certified == 339
+
+
+def test_certified_orders_of_thirty_label_shapes_equal_sympy():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+
+    labels = tuple(f"v{k:02d}" for k in range(30))
+    for g in (family("path", 30), family("complete", 30), LabeledGraph(labels)):
+        first = g.labels[0]
+        groups = (fer_group(g), fer_group(star(g)), fer_fixed_group(g, first), hang_group(g, first))
+        for group in groups:
+            cert = permgroup._jordan_order(group)
+            assert cert is not None
+            assert cert == SymGroup([SymPerm(list(p.perm)) for p in group.generators]).order()
+
+
+def test_alternating_group_by_three_cycles_is_certified_without_a_table(monkeypatch):
+    domain = tuple("123456789")
+    alt9 = group_from_generators([perm(f"(1 2 {k})", domain) for k in "3456789"])
+    calls = count_tables(monkeypatch)
+    assert alt9.order == math.factorial(9) // 2 and not is_symmetric(alt9)
+    assert calls == []
+    assert perm("(1 2)", domain) not in alt9 and perm("(1 2)(3 4)", domain) in alt9
+    assert len(calls) == 1  # membership still reads the table
+
+
+M11 = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
+PGL27 = ["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)", "(0 inf)(1 6)(2 3)(4 5)"]  # x+1, 3x, -1/x
+
+
+@pytest.mark.parametrize(
+    "group, order",
+    [
+        (group_from_generators([perm(t, [str(k) for k in range(1, 12)]) for t in M11]), 7920),
+        (group_from_generators([perm(t, [*"0123456", "inf"]) for t in PGL27]), 336),
+        (wreath_product(symmetric_group(tuple("abcd")), symmetric_group(("1", "2"))), 1152),
+    ],
+    ids=["M11", "PGL(2,7)", "S4 wr S2"],
+)
+def test_transitive_groups_without_alt_are_never_certified(group, order):
+    """M11 holds 11- and 5-cycles, PGL(2,7) 7-cycles, S4 wr S2 3-cycles: each
+    prime lies just outside m/2 < p < m - 2, so no word can certify."""
+    assert is_transitive(group) and len(group.domain) >= 8
+    assert permgroup._jordan_order(group) is None
+    assert group.order == order == len(naive_closure(group.generators, group.domain))
+
+
+def test_a_group_moving_two_orbits_is_never_certified():
+    """Sym(9) on nine labels and a swap of two more: 9!·2, not 9! or 11!."""
+    domain = tuple("abcdefghijk")
+    gens = [perm("(a b)", domain), perm("(a b c d e f g h i)", domain), perm("(j k)", domain)]
+    group = group_from_generators(gens)
+    assert permgroup._jordan_order(group) is None
+    assert group.order == math.factorial(9) * 2
