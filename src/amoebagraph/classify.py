@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
 
 from .construct import comb_product, dagger, star
 from .fer import (
@@ -150,7 +149,7 @@ def check_fixed_wreath_embedding(g: LabeledGraph, h: LabeledGraph) -> bool:
     return all(gen in target for gen in w.generators)
 
 
-def find_skew(gh: LabeledGraph, blocks) -> Optional[Permutation]:
+def find_skew(gh: LabeledGraph, blocks) -> Permutation | None:
     """First generator of Fer(gh), in `amoeba fer` order, that breaks the blocks.
 
     Each generator lies in E_G, and Fer(gh) = <E_G> keeps the blocks exactly
@@ -179,17 +178,17 @@ def check_big_corollary(g: LabeledGraph, h: LabeledGraph) -> str:
 class ClassificationReport:
     """Everything classify computes for one graph, JSON-serializable."""
 
-    root: Optional[object]
+    root: object | None
     fer_order: int
     fer_orbits: tuple
     local_amoeba: bool
     global_amoeba: bool
-    stem_symmetric_at_root: Optional[bool]
-    hang_symmetric_at_root: Optional[bool]
-    stem_transitive_at_root: Optional[bool]
-    has_root_similar_vertex: Optional[bool]
-    skew: Optional[Permutation]
-    block_system: Optional[tuple]
+    stem_symmetric_at_root: bool | None
+    hang_symmetric_at_root: bool | None
+    stem_transitive_at_root: bool | None
+    has_root_similar_vertex: bool | None
+    skew: Permutation | None
+    block_system: tuple | None
 
     def to_json(self) -> dict:
         return {

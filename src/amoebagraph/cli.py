@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ from . import classify as cls
 from . import construct, oracle
 from .fer import fer_fixed_group, fer_group, hang_group
 from .lgraph import FormatError, GraphError, LabeledGraph, from_json, to_dot, to_json
-from .permgroup import PermutationError, cycle_notation, flat, is_symmetric
+from .permgroup import PermutationError, flat, is_symmetric
 
 ENGINE_LIMIT = 30
 
@@ -80,11 +81,26 @@ def _write(text: str, out) -> None:
 
 
 def _emit_graph(g: LabeledGraph, args) -> None:
-    _write(to_dot(g) if getattr(args, "dot", False) else to_json(g), args.out)
+    _write(to_dot(g) if args.dot else to_json(g), args.out)
+
+
+def _emit(args, payload, lines) -> int:
+    """Print payload as JSON under --format json, the text lines otherwise."""
+    text = json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines)
+    _write(text + "\n", None)
+    return 0
 
 
 def _orbit_text(parts) -> str:
     return "".join("{" + " ".join(flat(x) for x in orbit) + "}" for orbit in parts)
+
+
+def _yn(value: bool) -> str:
+    return "yes" if value else "no"
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "falsified"
 
 
 def _do_classify(args) -> int:
@@ -92,9 +108,6 @@ def _do_classify(args) -> int:
     if args.root is not None:
         g = g.with_root(args.root)
     report = cls.classify_graph(g)
-    if args.format == "json":
-        _write(json.dumps(report.to_json(), indent=2) + "\n", None)
-        return 0
     data = report.to_json()
     lines = [
         f"root: {data['root'] if data['root'] is not None else '-'}",
@@ -115,20 +128,15 @@ def _do_classify(args) -> int:
         lines.append(f"block system: {_orbit_text(report.block_system)}")
     if witnesses["skew"] is not None:
         lines.append(f"skew: {witnesses['skew']}")
-    _write("\n".join(lines) + "\n", None)
-    return 0
-
-
-def _yn(value: bool) -> str:
-    return "yes" if value else "no"
+    return _emit(args, data, lines)
 
 
 def _select_group(g: LabeledGraph, args):
-    if getattr(args, "fixed", None) is not None and getattr(args, "hang", None) is not None:
+    if args.fixed is not None and args.hang is not None:
         raise FormatError("--fixed and --hang are mutually exclusive")
-    if getattr(args, "hang", None) is not None:
+    if args.hang is not None:
         return hang_group(g, args.hang), f"hang group at {args.hang}"
-    if getattr(args, "fixed", None) is not None:
+    if args.fixed is not None:
         return fer_fixed_group(g, args.fixed), f"fer group fixing {args.fixed}"
     return fer_group(g), "fer group"
 
@@ -136,34 +144,21 @@ def _select_group(g: LabeledGraph, args):
 def _do_fer(args) -> int:
     g = _read_graph(args.file, _limit(args, ENGINE_LIMIT))
     group, description = _select_group(g, args)
-    parts = group.orbits
-    if args.format == "json":
-        payload = group.to_json()
-        payload["orbits"] = [[flat(x) for x in orbit] for orbit in parts]
-        _write(json.dumps(payload, indent=2) + "\n", None)
-        return 0
+    payload = group.to_json()
+    payload["orbits"] = [[flat(x) for x in orbit] for orbit in group.orbits]
     lines = [
-        f"{description}: order {group.order}",
-        f"orbits: {_orbit_text(parts)}",
-        f"generators ({len(group.generators)}):",
+        f"{description}: order {payload['order']}",
+        f"orbits: {_orbit_text(group.orbits)}",
+        f"generators ({len(payload['generators'])}):",
     ]
-    lines += [f"  {cycle_notation(p)}" for p in group.generators]
-    _write("\n".join(lines) + "\n", None)
-    return 0
+    lines += [f"  {cycles}" for cycles in payload["generators"]]
+    return _emit(args, payload, lines)
 
 
 def _do_orbits(args) -> int:
     g = _read_graph(args.file, _limit(args, ENGINE_LIMIT))
-    group, _ = _select_group(g, args)
-    parts = group.orbits
-    if args.format == "json":
-        _write(
-            json.dumps([[flat(x) for x in orbit] for orbit in parts], indent=2) + "\n",
-            None,
-        )
-        return 0
-    _write(_orbit_text(parts) + "\n", None)
-    return 0
+    parts = _select_group(g, args)[0].orbits
+    return _emit(args, [[flat(x) for x in orbit] for orbit in parts], [_orbit_text(parts)])
 
 
 def _do_comb(args) -> int:
@@ -186,94 +181,66 @@ def _do_family(args) -> int:
         raise oracle.SizeGuardError(
             f"family {member} has more than {limit} labels, exceeding the guard"
         )
-    g = construct.family(args.name, n, root=args.root)
-    _emit_graph(g, args)
+    _emit_graph(construct.family(args.name, n, root=args.root), args)
     return 0
 
 
 def _do_example(args) -> int:
-    g = construct.example(args.name)
-    _emit_graph(g, args)
+    _emit_graph(construct.example(args.name), args)
     return 0
 
 
 def _do_oracle(args) -> int:
     g = _read_graph(args.file, _limit(args, oracle.REACH_LIMIT))
     result = oracle.reachability(g)
-    aut_size = len(oracle.brute_automorphisms(g))
+    # The labeled copies are g's orbit under Sym(n), so |Aut(g)| = n!/copies.
+    aut_size = math.factorial(len(g.labels)) // result.total_copies
     group = fer_group(g)
-    engine_order = group.order
-    local_engine = is_symmetric(group)
     local_oracle = len(result.reached) == result.total_copies
     agree = (
-        len(result.reached) * aut_size == engine_order
-        and local_engine == local_oracle
+        len(result.reached) * aut_size == group.order
+        and is_symmetric(group) == local_oracle
     )
-    payload = result.to_json()
-    payload.update(
-        {
-            "fer_order": str(engine_order),
-            "local_amoeba": local_oracle,
-            "agrees_with_engine": agree,
-        }
-    )
-    if args.format == "json":
-        _write(json.dumps(payload, indent=2) + "\n", None)
-    else:
-        _write(
-            "reached: {reached} of {total_copies} labeled copies\n"
-            "fer order: {fer_order}\n"
-            "local amoeba: {local}\n"
-            "agreement: {verdict}\n".format(
-                reached=payload["reached"],
-                total_copies=payload["total_copies"],
-                fer_order=payload["fer_order"],
-                local=_yn(local_oracle),
-                verdict="pass" if agree else "falsified",
-            ),
-            None,
-        )
+    payload = {
+        **result.to_json(),
+        "fer_order": str(group.order),
+        "local_amoeba": local_oracle,
+        "agrees_with_engine": agree,
+    }
+    lines = [
+        f"reached: {payload['reached']} of {payload['total_copies']} labeled copies",
+        f"fer order: {payload['fer_order']}",
+        f"local amoeba: {_yn(local_oracle)}",
+        f"agreement: {_verdict(agree)}",
+    ]
+    _emit(args, payload, lines)
     return 0 if agree else 1
 
 
 def _do_check(args) -> int:
-    limit = _limit(args, ENGINE_LIMIT)
-    if args.checker == "thm3":
+    limit, name = _limit(args, ENGINE_LIMIT), args.checker
+    if name in ("thm3", "hangcorr", "globaltrans"):
         g = _read_graph(args.file, limit)
+    else:
+        g, h = _read_pair(args, limit)
+    detail = ""
+    if name == "thm3":
         a, b, c = cls.check_theorem3(g, args.root)
-        ok = a == b == c
-        _write(f"thm3: a={_yn(a)} b={_yn(b)} c={_yn(c)} -> {_verdict(ok)}\n", None)
-        return 0 if ok else 1
-    if args.checker == "hangcorr":
-        g = _read_graph(args.file, limit)
+        ok, detail = a == b == c, f"a={_yn(a)} b={_yn(b)} c={_yn(c)} -> "
+    elif name == "hangcorr":
         ok = cls.check_hang_correspondence(g, args.root)
-        _write(f"hangcorr: {_verdict(ok)}\n", None)
-        return 0 if ok else 1
-    if args.checker == "globaltrans":
-        g = _read_graph(args.file, limit)
+    elif name == "globaltrans":
         glob, trans = cls.check_global_transitive(g)
-        ok = glob == trans
-        _write(
-            f"globaltrans: global={_yn(glob)} transitive={_yn(trans)} -> {_verdict(ok)}\n",
-            None,
-        )
-        return 0 if ok else 1
-    g, h = _read_pair(args, limit)
-    if args.checker == "wreath":
+        ok, detail = glob == trans, f"global={_yn(glob)} transitive={_yn(trans)} -> "
+    elif name == "wreath":
         ok = cls.check_wreath_embedding(g, h)
-        _write(f"wreath: {_verdict(ok)}\n", None)
-        return 0 if ok else 1
-    if args.checker == "fixedwreath":
+    elif name == "fixedwreath":
         ok = cls.check_fixed_wreath_embedding(g, h)
-        _write(f"fixedwreath: {_verdict(ok)}\n", None)
-        return 0 if ok else 1
-    verdict = cls.check_big_corollary(g, h)
-    _write(f"bigcor: {verdict} -> {_verdict(verdict != 'violated')}\n", None)
-    return 0 if verdict != "violated" else 1
-
-
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "falsified"
+    else:
+        verdict = cls.check_big_corollary(g, h)
+        ok, detail = verdict != "violated", f"{verdict} -> "
+    _write(f"{name}: {detail}{_verdict(ok)}\n", None)
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--fixed", help="use the subgroup fixing this label")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(run=_do_orbits)
+    p.set_defaults(run=_do_orbits, hang=None)
 
     p = sub.add_parser("comb", help="write the comb product of two graphs")
     p.add_argument("g")

@@ -147,9 +147,10 @@ def example(name: str) -> LabeledGraph:
     - counterexample_G: P3 rooted at a leaf.
     - counterexample_H: triangle 1-2-3 with pendant 4 on 2, rooted at the
       degree-2 vertex 1.
-    - counterexample_GH_labeled: their comb product on labels 1..12 (spine
-      1-5-9, one triangle-with-pendant per spine vertex), rooted at 1 — the
-      comb product whose Fer group is exactly S4 ≀ S3.
+    - counterexample_GH_labeled: their comb product with (b, x) named
+      4(x-1)+b, so on labels 1..12 (spine 1-5-9, one triangle-with-pendant
+      per spine vertex), rooted at 1 — the comb product whose Fer group is
+      exactly S4 ≀ S3.
     """
     if name == "fig1":
         labels = tuple(str(i) for i in range(1, 6))
@@ -168,12 +169,6 @@ def example(name: str) -> LabeledGraph:
             "1",
         )
     if name == "counterexample_GH_labeled":
-        labels = tuple(str(i) for i in range(1, 13))
-        edges = []
-        for base in (1, 5, 9):
-            a, b, c, d = base, base + 1, base + 2, base + 3
-            edges += [(str(a), str(b)), (str(a), str(c)), (str(b), str(c)),
-                      (str(b), str(d))]
-        edges += [("1", "5"), ("5", "9")]
-        return LabeledGraph(labels, tuple(edges), "1")
+        gh = comb_product(example("counterexample_G"), example("counterexample_H"))
+        return relabel(gh, {(b, x): str(4 * int(x) + int(b) - 4) for b, x in gh.labels})
     raise GraphError(f"unknown example {name!r}")

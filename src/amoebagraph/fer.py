@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .lgraph import (
     GraphError,
@@ -59,8 +58,8 @@ class EdgeReplacement:
     A swap of an edge for itself collapses to the neutral replacement.
     """
 
-    removed: Optional[tuple] = None
-    added: Optional[tuple] = None
+    removed: tuple | None = None
+    added: tuple | None = None
 
     def __post_init__(self):
         if (self.removed is None) != (self.added is None):

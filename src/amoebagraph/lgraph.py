@@ -24,7 +24,6 @@ import bisect
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .permgroup import (
     Permutation,
@@ -64,7 +63,7 @@ class LabeledGraph:
 
     labels: tuple
     edges: tuple = ()
-    root: Optional[object] = None
+    root: object | None = None
 
     def __post_init__(self):
         domain = sorted_domain(self.labels)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations as all_orderings
-from typing import Iterator
 
 from .lgraph import LabeledGraph, _canonical_edge, _edge_key
 from .permgroup import Permutation
@@ -40,8 +40,11 @@ def _edge_filter(g: LabeledGraph, source_edges) -> list:
     """Every permutation of g's labels that maps each source edge to an edge of g.
 
     With as many source edges as g has edges, a bijection sending every one
-    of them to an edge of g sends them onto g's edge set.
+    of them to an edge of g sends them onto g's edge set.  Refused above
+    COSET_LIMIT labels.
     """
+    if len(g.labels) > COSET_LIMIT:
+        raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
     edges = {frozenset(e) for e in g.edges}
     found = []
     for images in all_orderings(g.labels):
@@ -53,8 +56,6 @@ def _edge_filter(g: LabeledGraph, source_edges) -> list:
 
 def brute_automorphisms(g: LabeledGraph) -> list:
     """Aut(g) by filtering all n! permutations (n <= 8)."""
-    if len(g.labels) > COSET_LIMIT:
-        raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
     return _edge_filter(g, g.edges)
 
 
@@ -65,8 +66,6 @@ def brute_coset(g: LabeledGraph, r) -> list:
     Empty when g - removed + added is not isomorphic to g; GraphError, as from
     fer_coset, when the removed edge is absent or the added one present.
     """
-    if len(g.labels) > COSET_LIMIT:
-        raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
     replaced = g if r.removed is None else g.remove_edge(*r.removed).add_edge(*r.added)
     return _edge_filter(g, replaced.edges)
 

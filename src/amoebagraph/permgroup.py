@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 
 class PermutationError(ValueError):
@@ -245,7 +244,7 @@ class PermutationGroup:
         return tuple(parts)
 
     @cached_property
-    def block_witness(self) -> Optional[tuple]:
+    def block_witness(self) -> tuple | None:
         """First nontrivial minimal block system joining domain[0] to another
         label, tried in domain order; None if primitive or intransitive."""
         if not is_transitive(self):
@@ -266,7 +265,7 @@ class PermutationGroup:
         }
 
 
-def _jordan_order(group: PermutationGroup) -> Optional[int]:
+def _jordan_order(group: PermutationGroup) -> int | None:
     """m! or m!/2 if the group holds Alt of the one orbit it moves, of m >= 8
     labels, by Jordan's test (Dixon & Mortimer, Thm 3.3E; sympy's is_alt_sym):
     a transitive group of degree m >= 8 with an element having a cycle of

@@ -405,6 +405,52 @@ def test_check_bigcor_reports_the_verdict(capsys, tmp_path):
     assert code == 0 and out == "bigcor: full-symmetric -> pass\n"
 
 
+@pytest.mark.parametrize(
+    "checker, function, returned, line",
+    [
+        ("thm3", "check_theorem3", (True, False, True), "thm3: a=yes b=no c=yes -> falsified"),
+        ("hangcorr", "check_hang_correspondence", False, "hangcorr: falsified"),
+        (
+            "globaltrans",
+            "check_global_transitive",
+            (True, False),
+            "globaltrans: global=yes transitive=no -> falsified",
+        ),
+        ("wreath", "check_wreath_embedding", False, "wreath: falsified"),
+        ("fixedwreath", "check_fixed_wreath_embedding", False, "fixedwreath: falsified"),
+        ("bigcor", "check_big_corollary", "violated", "bigcor: violated -> falsified"),
+    ],
+)
+def test_check_reports_a_disagreeing_checker_as_falsified(
+    capsys, tmp_path, monkeypatch, checker, function, returned, line
+):
+    """A falsification is a result: one stdout line, nothing on stderr, exit 1."""
+    monkeypatch.setattr(f"amoebagraph.cli.cls.{function}", lambda *args: returned)
+    g = write_graph(tmp_path, family("path", 2, root="1"), "g.json")
+    h = write_graph(tmp_path, family("path", 2, root="1"), "h.json")
+    pair = checker in ("wreath", "fixedwreath", "bigcor")
+    code, out, err = run_cli(capsys, ["check", checker, g, *([h] if pair else [])])
+    assert (code, out, err) == (1, line + "\n", "")
+
+
+def test_oracle_reports_a_disagreeing_engine_as_falsified(capsys, tmp_path, monkeypatch):
+    from amoebagraph import PermutationGroup
+
+    monkeypatch.setattr("amoebagraph.cli.fer_group", lambda g: PermutationGroup(g.labels, ()))
+    path = write_graph(tmp_path, family("path", 3))
+    code, out, err = run_cli(capsys, ["oracle", path])
+    assert (code, err) == (1, "")
+    assert out == (
+        "reached: 3 of 3 labeled copies\n"
+        "fer order: 1\n"
+        "local amoeba: yes\n"
+        "agreement: falsified\n"
+    )
+    code, out, err = run_cli(capsys, ["oracle", path, "--format", "json"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["agrees_with_engine"] is False
+
+
 # ----------------------------------------------------------------- size guards
 
 
