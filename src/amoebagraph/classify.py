@@ -8,8 +8,7 @@ violation) and report falsifications as data: a disagreeing tuple or a
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 
 from .construct import comb_product, dagger, star
 from .fer import (
@@ -174,21 +173,18 @@ def check_big_corollary(g: LabeledGraph, h: LabeledGraph) -> str:
     return "violated"
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Everything classify computes for one graph, JSON-serializable."""
+class ClassificationReport(
+    namedtuple(
+        "ClassificationReport",
+        "root fer_order fer_orbits local_amoeba global_amoeba stem_symmetric_at_root"
+        " hang_symmetric_at_root stem_transitive_at_root has_root_similar_vertex"
+        " skew block_system",
+    )
+):
+    """Everything classify computes for one graph, JSON-serializable; the root
+    flags are None when unrooted, and skew and block_system without a witness."""
 
-    root: object | None
-    fer_order: int
-    fer_orbits: tuple
-    local_amoeba: bool
-    global_amoeba: bool
-    stem_symmetric_at_root: bool | None
-    hang_symmetric_at_root: bool | None
-    stem_transitive_at_root: bool | None
-    has_root_similar_vertex: bool | None
-    skew: Permutation | None
-    block_system: tuple | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

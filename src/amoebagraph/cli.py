@@ -2,8 +2,8 @@
 
 Verbs: classify, fer, orbits, comb, family, example, oracle, check.
 Exit codes: 0 success/pass, 1 falsification, 2 usage or I/O error, 3 size
-guard.  "-" means standard input/output.  AMOEBA_MAX_N overrides the size
-guards (default 30, and oracle.REACH_LIMIT for the oracle verb).
+guard.  "-" means standard input/output.  --max-n or AMOEBA_MAX_N overrides
+the size guard of 30; for the oracle verb it can only lower oracle.REACH_LIMIT.
 """
 
 from __future__ import annotations
@@ -71,7 +71,15 @@ def _read_pair(args, limit: int) -> tuple:
 
 def _write(text: str, out) -> None:
     if out in (None, "-"):
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # Point fd 1 at devnull so the flush at exit cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise FormatError("cannot write to standard output: broken pipe") from None
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:
@@ -252,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=None,
-        help=f"override the size guard (default 30; {oracle.REACH_LIMIT} for the oracle verb)",
+        help="override the size guard "
+        f"(default 30; at most {oracle.REACH_LIMIT} for the oracle verb)",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -28,7 +28,7 @@ cosets and E_G, built when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .lgraph import (
@@ -51,26 +51,24 @@ from .permgroup import (
 )
 
 
-@dataclass(frozen=True)
-class EdgeReplacement:
+class EdgeReplacement(namedtuple("EdgeReplacement", "removed added")):
     """An edge swap removed -> added; both None is the neutral replacement.
 
     A swap of an edge for itself collapses to the neutral replacement.
     """
 
-    removed: tuple | None = None
-    added: tuple | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if (self.removed is None) != (self.added is None):
+    def __new__(cls, removed: tuple | None = None, added: tuple | None = None):
+        if (removed is None) != (added is None):
             raise GraphError("replacement needs both edges, or neither")
-        if self.removed is not None:
-            removed = _canonical_edge(*self.removed)
-            added = _canonical_edge(*self.added)
+        if removed is not None:
+            removed = _canonical_edge(*removed)
+            added = _canonical_edge(*added)
             if removed == added:
                 removed = added = None
-            object.__setattr__(self, "removed", removed)
-            object.__setattr__(self, "added", added)
+        return tuple.__new__(cls, (removed, added))
 
     @property
     def is_neutral(self) -> bool:

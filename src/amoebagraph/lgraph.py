@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .permgroup import (
@@ -57,23 +57,19 @@ def _edge_key(edge) -> tuple:
     return (label_key(edge[0]), label_key(edge[1]))
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
+class LabeledGraph(namedtuple("LabeledGraph", "labels edges root")):
     """Simple graph on a label set, with an optional root label."""
 
-    labels: tuple
-    edges: tuple = ()
-    root: object | None = None
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        domain = sorted_domain(self.labels)
+    def __new__(cls, labels: tuple, edges: tuple = (), root: object | None = None):
+        domain = sorted_domain(labels)
         if not domain:
             raise GraphError("graph needs at least one label")
         label_set = set(domain)
         canon = []
         seen = set()
-        for edge in self.edges:
-            u, v = edge
+        for u, v in edges:
             if u not in label_set or v not in label_set:
                 raise GraphError(f"edge endpoint not a label: {flat(u)!r}-{flat(v)!r}")
             pair = _canonical_edge(u, v)
@@ -82,10 +78,12 @@ class LabeledGraph:
             seen.add(pair)
             canon.append(pair)
         canon.sort(key=_edge_key)
-        if self.root is not None and self.root not in label_set:
-            raise GraphError(f"root {flat(self.root)!r} is not a label")
-        object.__setattr__(self, "labels", domain)
-        object.__setattr__(self, "edges", tuple(canon))
+        if root is not None and root not in label_set:
+            raise GraphError(f"root {flat(root)!r} is not a label")
+        return tuple.__new__(cls, (domain, tuple(canon), root))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LabeledGraph is immutable")
 
     @cached_property
     def _adjacency(self) -> dict:
@@ -115,12 +113,12 @@ class LabeledGraph:
         return classes
 
     def _edited(self, edges: list, pair: tuple, change) -> "LabeledGraph":
-        """A copy without __post_init__, its adjacency patched at pair's endpoints."""
+        """A copy that skips the checks, its adjacency patched at pair's endpoints."""
         u, v = pair
         adj = dict(self._adjacency)
         adj[u], adj[v] = change(adj[u], (v,)), change(adj[v], (u,))
-        g = object.__new__(LabeledGraph)
-        g.__dict__.update(labels=self.labels, edges=tuple(edges), root=self.root, _adjacency=adj)
+        g = tuple.__new__(LabeledGraph, (self.labels, tuple(edges), self.root))
+        g.__dict__["_adjacency"] = adj
         return g
 
     def neighbors(self, x) -> frozenset:

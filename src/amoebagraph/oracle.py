@@ -9,9 +9,8 @@ errors — a silently truncated search would report false negatives.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import permutations as all_orderings
 
 from .lgraph import LabeledGraph, _canonical_edge, _edge_key
@@ -70,14 +69,10 @@ def brute_coset(g: LabeledGraph, r) -> list:
     return _edge_filter(g, replaced.edges)
 
 
-@dataclass(frozen=True)
-class ReachabilitySet:
+class ReachabilitySet(namedtuple("ReachabilitySet", "start reached transitions total_copies")):
     """BFS closure of a graph under feasible edge-replacements."""
 
-    start: LabeledGraph
-    reached: frozenset
-    transitions: int
-    total_copies: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"reached": len(self.reached), "total_copies": self.total_copies}

@@ -15,7 +15,7 @@ Minimal block systems come from Atkinson's merge over positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 
@@ -205,17 +205,19 @@ def parse_cycles(text: str, domain) -> Permutation:
     return Permutation.from_mapping(mapping)
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
+class PermutationGroup(namedtuple("PermutationGroup", "domain generators")):
     """Permutation group given by generators, with a lazy Sims table."""
 
-    domain: tuple
-    generators: tuple
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        for g in self.generators:
-            if g.domain != self.domain:
+    def __new__(cls, domain: tuple, generators: tuple):
+        for g in generators:
+            if g.domain != domain:
                 raise PermutationError("generator domain does not match group domain")
+        return tuple.__new__(cls, (domain, generators))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PermutationGroup is immutable")
 
     @cached_property
     def _table(self) -> dict:

@@ -134,6 +134,41 @@ def test_unwritable_output_is_a_usage_error_naming_the_path(capsys, tmp_path):
     assert err.startswith(f"error: cannot write {target}: ")
 
 
+def test_a_closed_pipe_on_stdout_is_a_usage_error_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "amoebagraph.cli", "family", "path", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == b"error: cannot write to standard output: broken pipe\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Compared inside the child, so modules a site hook loads first do not count.
+    probe = (
+        "import sys; before = set(sys.modules); import amoebagraph.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=60,
+        check=True,
+    )
+    added = set(done.stdout.decode().split())
+    assert "amoebagraph.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 # ------------------------------------------------------------------ pipelines
 
 
