@@ -64,9 +64,10 @@ def is_stem_symmetric(g: LabeledGraph, b=None) -> bool:
 
 
 def is_hang_symmetric(g: LabeledGraph, i=None) -> bool:
-    """Whether <E^i ∪ Aut(G)> is all of Sym(labels)."""
+    """Whether <E^i ∪ Aut(G)> is all of Sym(labels); it lies in Fer(G), so
+    only a local amoeba can be."""
     i = _pick_root(g, i)
-    return is_symmetric(hang_group(g, i))
+    return is_local_amoeba(g) and is_symmetric(hang_group(g, i))
 
 
 def is_stem_transitive(g: LabeledGraph, i=None) -> bool:
@@ -212,48 +213,19 @@ def classify_graph(g: LabeledGraph) -> ClassificationReport:
     Witnesses: pair-labeled graphs carry the canonical {B×{x}} partition and
     its skew (if some generator breaks it); otherwise a transitive,
     non-symmetric Fer group is probed for a nontrivial minimal block system.
-
-    The local, global, stem and hang flags each ask whether a group is Sym.
-    Exact facts decide first, and a Sims table is built only for what they
-    leave open (n labels, root i):
-    1. an intransitive group is not Sym;
-    2. the hang group lies in Fer(G), so it is Sym only when G is local;
-    3. Fer^i(G) lies in Fer(G)'s stabilizer of i, so stem-symmetry at i
-       needs |Fer(G)| >= (n-1)!·|orbit of i| and Fer^i(G) transitive off i;
-    4. a transitive group holding a point's full stabilizer in Sym is Sym:
-       Fer(G*) holds Fer(G) fixing the new label, so for a local G it is
-       Sym exactly when transitive; the hang group holds Fer^i(G), which
-       fixes i, so at a stem-symmetric i it is Sym exactly when transitive;
-    5. a group moving one orbit of m >= 8 labels holds Alt of it when one of
-       80 fixed words has a cycle of prime length p, m/2 < p < m - 2 (Jordan),
-       and its order is then m! or m!/2, with no table (_jordan_order).
+    The local, global, stem and hang flags are the four predicates' answers.
     """
     group = fer_group(g)
-    n = len(g.labels)
-    local = is_symmetric(group)
-    skew = None
-    blocks = None
+    local = is_local_amoeba(g)
+    skew = blocks = None
     if all(isinstance(x, tuple) for x in g.labels):
         blocks = pair_blocks(g.labels)
         skew = find_skew(g, blocks)
     elif not local:
         blocks = group.block_witness
-    starred = fer_group(star(g))
-    global_ = is_transitive(starred) and (local or is_symmetric(starred))
-    if g.root is None:
-        stem = hang = transitive = similar = None
-    else:
-        i = g.root
-        transitive = is_stem_transitive(g, i)
-        orbit = next(o for o in group.orbits if i in o)
-        stem = (
-            transitive
-            and group.order >= math.factorial(n - 1) * len(orbit)
-            and fer_fixed_group(g, i).order == math.factorial(n - 1)
-        )
-        hanging = hang_group(g, i)
-        hang = local and is_transitive(hanging) and (stem or is_symmetric(hanging))
-        similar = has_root_similar_vertex(g, i)
+    global_ = is_global_amoeba(g)
+    at_root = (is_stem_symmetric, is_hang_symmetric, is_stem_transitive, has_root_similar_vertex)
+    stem, hang, transitive, similar = (None if g.root is None else f(g) for f in at_root)
     return ClassificationReport(
         root=g.root,
         fer_order=group.order,

@@ -5,8 +5,9 @@ Permutations are immutable bijections on a canonically ordered domain,
 stored once, as image positions; groups are held by their generators and
 carry a deterministic Sims table, built by Knuth's sift-and-close
 algorithm, giving exact orders (arbitrary-precision ints) and membership
-tests without listing any element; a group that Jordan's theorem shows
-to hold Alt of the one orbit it moves gets its order without one.  Each
+tests without listing any element; a group that moves one orbit and has a
+transposition or 3-cycle among its generators whose block-system merge joins
+that orbit holds Alt of it (Jordan), and gets its order without one.  Each
 group also caches its orbit partition, found by one breadth-first walk over
 positions, so orbit and transitivity questions never build a table.
 Minimal block systems come from Atkinson's merge over positions.
@@ -268,41 +269,24 @@ class PermutationGroup(namedtuple("PermutationGroup", "domain generators")):
 
 
 def _jordan_order(group: PermutationGroup) -> int | None:
-    """m! or m!/2 if the group holds Alt of the one orbit it moves, of m >= 8
-    labels, by Jordan's test (Dixon & Mortimer, Thm 3.3E; sympy's is_alt_sym):
-    a transitive group of degree m >= 8 with an element having a cycle of
-    prime length p, m/2 < p < m - 2, holds Alt(m), and acting faithfully it is
-    Sym exactly when a generator is odd.  The elements tried are 80 product-
-    replacement words (sympy's random_pr, >= 10 slots) from an inline LCG, the
-    same in every process and Python version.  None: no word certified."""
+    """m! or m!/2 if the group holds Alt of the one orbit it moves, of m labels,
+    by Jordan's theorem (Dixon & Mortimer, Section 3.3) on its first generator
+    that is a transposition or a 3-cycle: the supports of that generator's
+    conjugates join into the blocks of a block system, so when the finest one
+    joining its points is the whole orbit, they generate Sym or Alt of it, and
+    the order is m! exactly when a generator is odd.  Alt is primitive, so a
+    later short generator would decide the same.  None: nothing certified."""
     moved = [orbit for orbit in group.orbits if len(orbit) > 1]
-    m = len(moved[0]) if len(moved) == 1 else 0
-    primes = {p for p in range(m // 2 + 1, m - 2) if all(p % d for d in range(2, p))}
-    if not primes:  # empty exactly when m < 8
-        return None
     gens = [g.perm for g in group.generators]
-    slots = [gens[k % len(gens)] for k in range(max(10, len(gens)))]
-    word = positions = tuple(range(len(group.domain)))
-    state = [1]
-
-    def draw(bound):
-        state[0] = (state[0] * 6364136223846793005 + 1442695040888963407) % 2**64
-        return (state[0] >> 33) % bound
-
-    for _ in range(80):
-        s, t = draw(len(slots)), draw(len(slots) - 1)
-        t = len(slots) - 1 if t == s else t
-        b = slots[t] if draw(2) else tuple(sorted(positions, key=slots[t].__getitem__))
-        if draw(2):
-            slots[s] = tuple([slots[s][j] for j in b])
-            word = tuple([word[j] for j in slots[s]])
-        else:
-            slots[s] = tuple([b[j] for j in slots[s]])
-            word = tuple([slots[s][j] for j in word])
-        if any(len(c) in primes for c in _cycles(word)):
-            odd = any(sum(len(c) - 1 for c in _cycles(g)) % 2 for g in gens)
-            return math.factorial(m) // (1 if odd else 2)
-    return None
+    shorts = (c[0] for c in map(_cycles, gens) if len(c) == 1 and len(c[0]) <= 3)
+    short = len(moved) == 1 and next(shorts, None)
+    if not short:
+        return None
+    n, m = len(group.domain), len(moved[0])
+    if len(set(_merge(gens, n, short, m - 1))) > n - m + 1:  # < m - 1 joins: orbit split
+        return None
+    odd = len(short) == 2 or any(sum(len(c) - 1 for c in _cycles(g)) % 2 for g in gens)
+    return math.factorial(m) // (1 if odd else 2)
 
 
 def _sift(table: dict, k: int, h: Permutation) -> bool:
@@ -456,10 +440,8 @@ def preserves_partition(p: Permutation, partition) -> bool:
 def minimal_block_system(group: PermutationGroup, seed) -> tuple:
     """Finest block system with all seed labels in one block (group transitive).
 
-    Atkinson's merge (Math. Comp. 29, 1975) over positions: join the seed
-    pairs, and whenever two classes are joined, queue the pairs of their
-    representatives' images under every generator.  Reading the classes in
-    domain order lists them, and the labels in each, canonically.
+    Atkinson's merge over positions (_merge); reading the classes in domain
+    order lists them, and the labels in each, canonically.
     """
     if not is_transitive(group):
         raise PermutationError("minimal_block_system requires a transitive group")
@@ -468,27 +450,38 @@ def minimal_block_system(group: PermutationGroup, seed) -> tuple:
         raise PermutationError("seed needs at least two labels")
     index = _index_of(group.domain)
     try:
-        first, *rest = [index[x] for x in seed]
+        seed = [index[x] for x in seed]
     except KeyError as err:
         raise PermutationError(f"unknown label {flat(err.args[0])!r}") from None
-    parent = list(range(len(index)))
+    blocks = {}
+    for x, c in zip(group.domain, _merge([g.perm for g in group.generators], len(index), seed)):
+        blocks.setdefault(c, []).append(x)
+    return tuple(tuple(block) for block in blocks.values())
+
+
+def _merge(perms: list, size: int, seed: list, most: int | None = None) -> list:
+    """Atkinson's merge (Math. Comp. 29, 1975) over positions 0..size-1: join
+    the seed positions, and whenever two classes are joined, queue the pairs
+    of their representatives' images under every permutation; stop after
+    `most` joins, if given.  Returns each position's class representative."""
+    parent = list(range(size))
+    joins = 0
 
     def find(k):
         while parent[k] != k:
             parent[k] = k = parent[parent[k]]
         return k
 
-    perms = [g.perm for g in group.generators]
-    pending = [(first, k) for k in rest]
+    pending = [(seed[0], k) for k in seed[1:]]
     for a, b in pending:
         a, b = find(a), find(b)
         if a != b:
             parent[b] = a
+            joins += 1
+            if joins == most:
+                break
             pending.extend((p[a], p[b]) for p in perms)
-    blocks = {}
-    for k, x in enumerate(group.domain):
-        blocks.setdefault(find(k), []).append(x)
-    return tuple(tuple(block) for block in blocks.values())
+    return [find(k) for k in range(size)]
 
 
 def wreath_product(s: PermutationGroup, t: PermutationGroup) -> PermutationGroup:

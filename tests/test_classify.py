@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,6 @@ from amoebagraph import (
     relabel,
     star,
 )
-from amoebagraph import permgroup
 from amoebagraph.construct import EXAMPLE_NAMES
 from amoebagraph.permgroup import sorted_domain
 
@@ -289,6 +289,36 @@ def test_big_corollary_checks_its_preconditions():
         check_big_corollary(p(2), C4.with_root("1"))
 
 
+THIRTY_LABEL_COMBS = [
+    (("path", 3), ("path", 10), "full-symmetric"),
+    (("path", 2), ("path", 15), "full-symmetric"),
+    (("path", 5), ("path", 6), "full-symmetric"),
+    (("path", 6), ("path", 5), "full-symmetric"),
+    (("path", 2), ("complete", 15), "wreath"),
+]
+
+
+def test_comb_checkers_at_thirty_labels():
+    """Both wreath embeddings hold and the big corollary's verdict is pinned
+    for five 30-label combs; each Fer(g∗h) order agrees with sympy's BSGS."""
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup as SymGroup
+
+    started = time.perf_counter()
+    groups = []
+    for (g_name, n), (h_name, m), verdict in THIRTY_LABEL_COMBS:
+        g, h = family(g_name, n), family(h_name, m, root="1")
+        assert check_wreath_embedding(g, h) and check_fixed_wreath_embedding(g, h)
+        assert check_big_corollary(g, h) == verdict
+        groups.append(fer_group(comb_product(g, h)))
+    assert time.perf_counter() - started < 3  # the engine's share; sympy's is not timed
+    f = math.factorial
+    for group, ((_, n), (_, m), verdict) in zip(groups, THIRTY_LABEL_COMBS):
+        order = f(m) ** n * f(n) if verdict == "wreath" else f(30)
+        assert group.order == order
+        assert SymGroup([SymPerm(list(x.perm)) for x in group.generators]).order() == order
+
+
 # -------------------------------------------------------------------- reports
 
 
@@ -438,36 +468,36 @@ def test_the_block_witness_of_c6_depends_on_the_label_order():
     assert is_block_system(fer_group(c6), triangles) and is_block_system(fer_group(c6), pairs)
 
 
-def test_sims_tables_built_classifying_corpus5_at_every_root(monkeypatch):
+def test_sims_tables_built_classifying_corpus5_at_every_root(sims_tables):
     """Work pin: a cold memo (fresh labels) classifies every 5-vertex class at
-    every root with 128 Sims tables, where one table per Sym question takes 408."""
-    calls = []
-    table = permgroup._sims_table
-
-    def counted(domain, generators):
-        calls.append(None)
-        return table(domain, generators)
-
-    monkeypatch.setattr(permgroup, "_sims_table", counted)
+    every root with 19 Sims tables, where one table per Sym question takes 408:
+    the others are settled by a transposition or 3-cycle generator whose merge
+    certifies Alt, by intransitivity, or, for a hang group, by G not local."""
     for g in corpus(5, rooted=True):
         classify_graph(relabel(g, {x: "sims-pin-" + x for x in g.labels}))
-    assert len(calls) == 128
+    assert len(sims_tables) == 19
 
 
-def test_thirty_label_sym_shapes_classify_without_a_sims_table(monkeypatch):
+@pytest.mark.parametrize(
+    "checker, tables",
+    [(check_theorem3, 0), (check_hang_correspondence, 16)],
+    ids=["thm3", "hangcorr"],
+)
+def test_sims_tables_built_checking_corpus4_and_5_at_every_root(sims_tables, checker, tables):
+    """Work pin: a cold memo runs the checker on every 4- and 5-vertex class at
+    every root with this many Sims tables."""
+    for n in (4, 5):
+        for g in corpus(n, rooted=True):
+            checker(relabel(g, {x: f"{checker.__name__}-pin-" + x for x in g.labels}))
+    assert len(sims_tables) == tables
+
+
+def test_thirty_label_sym_shapes_classify_without_a_sims_table(sims_tables):
     """Work pin: every Sym question of path30, K30 and the edgeless graph on 30
     labels is answered by Jordan's certificate (cold memo, fresh labels)."""
-    calls = []
-    table = permgroup._sims_table
-
-    def counted(domain, generators):
-        calls.append(None)
-        return table(domain, generators)
-
-    monkeypatch.setattr(permgroup, "_sims_table", counted)
     edgeless = LabeledGraph(tuple(str(k) for k in range(1, 31)))
     for g in (family("path", 30), family("complete", 30), edgeless):
         fresh = relabel(g, {x: "jordan-pin-" + x for x in g.labels})
         report = classify_graph(fresh.with_root("jordan-pin-1"))
         assert report.local_amoeba and report.fer_order == math.factorial(30)
-    assert calls == []
+    assert sims_tables == []

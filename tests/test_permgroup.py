@@ -6,6 +6,7 @@ against the product formula |s|^|domain(t)| * |t|.
 """
 
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -39,11 +40,13 @@ from amoebagraph import (
 )
 from amoebagraph import permgroup
 from amoebagraph.construct import EXAMPLE_NAMES
+from amoebagraph.fer import aut_generators
 from amoebagraph.permgroup import label_key
 
 DOM3 = ("1", "2", "3")
 DOM6 = tuple("123456")
 DOM7 = tuple(str(k) for k in range(1, 8))
+DOM29 = tuple(str(k) for k in range(1, 30))
 
 
 def perm(text, domain=DOM3):
@@ -542,22 +545,10 @@ def fer_type_groups(g):
         yield hang_group(g, i)
 
 
-def count_tables(monkeypatch) -> list:
-    calls = []
-    table = permgroup._sims_table
-
-    def counted(domain, generators):
-        calls.append(None)
-        return table(domain, generators)
-
-    monkeypatch.setattr(permgroup, "_sims_table", counted)
-    return calls
-
-
 def test_certified_orders_equal_the_table_orders():
     """Every order the certificate gives equals the built table's; and every
-    group here that holds Alt of its one moved orbit of >= 8 labels is
-    certified, so the fixed words suffice on all of them."""
+    group here that holds Alt of its one moved orbit is certified, so each of
+    them has a transposition or a 3-cycle among its generators."""
     graphs = [family("path", n) for n in range(8, 17)]
     graphs += [family("complete", n) for n in range(8, 13)]
     graphs += [example(name) for name in EXAMPLE_NAMES] + [family("b_family", 3)]
@@ -568,9 +559,9 @@ def test_certified_orders_equal_the_table_orders():
             moved = [orbit for orbit in group.orbits if len(orbit) > 1]
             m = len(moved[0]) if len(moved) == 1 else 0
             assert cert in (None, order), g
-            assert (cert is not None) == (m >= 8 and 2 * order >= math.factorial(m)), g
+            assert (cert is not None) == (m >= 2 and 2 * order >= math.factorial(m)), g
             certified += cert is not None
-    assert certified == 339
+    assert certified == 397
 
 
 def test_certified_orders_of_thirty_label_shapes_equal_sympy():
@@ -587,18 +578,32 @@ def test_certified_orders_of_thirty_label_shapes_equal_sympy():
             assert cert == SymGroup([SymPerm(list(p.perm)) for p in group.generators]).order()
 
 
-def test_alternating_group_by_three_cycles_is_certified_without_a_table(monkeypatch):
-    domain = tuple("123456789")
-    alt9 = group_from_generators([perm(f"(1 2 {k})", domain) for k in "3456789"])
-    calls = count_tables(monkeypatch)
-    assert alt9.order == math.factorial(9) // 2 and not is_symmetric(alt9)
-    assert calls == []
-    assert perm("(1 2)", domain) not in alt9 and perm("(1 2)(3 4)", domain) in alt9
-    assert len(calls) == 1  # membership still reads the table
+@pytest.mark.parametrize("graph", ["complete", "edgeless"])
+def test_the_certificate_does_not_depend_on_the_generator_order(graph):
+    """Aut(K30) and Aut of the edgeless graph on 29 labels, each given by its
+    transpositions in 40 seeded shuffled orders: every order is certified."""
+    g = family("complete", 30) if graph == "complete" else LabeledGraph(DOM29)
+    gens = list(aut_generators(g))
+    for seed in range(40):
+        random.Random(seed).shuffle(gens)
+        group = group_from_generators(gens)
+        assert permgroup._jordan_order(group) == math.factorial(len(g.labels)), seed
+
+
+def test_alternating_group_by_three_cycles_is_certified_without_a_table(sims_tables):
+    """Alt(4), Alt(5) and Alt(9), each by the 3-cycles (1 2 k)."""
+    for built, n in enumerate((4, 5, 9)):
+        domain = tuple(str(k) for k in range(1, n + 1))
+        alt = group_from_generators([perm(f"(1 2 {k})", domain) for k in domain[2:]])
+        assert alt.order == math.factorial(n) // 2 and not is_symmetric(alt), n
+        assert len(sims_tables) == built
+        assert perm("(1 2)", domain) not in alt and perm("(1 2)(3 4)", domain) in alt
+    assert len(sims_tables) == 3  # membership still reads the table
 
 
 M11 = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
 PGL27 = ["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)", "(0 inf)(1 6)(2 3)(4 5)"]  # x+1, 3x, -1/x
+C3_WR_C2 = ["(1 2 3)", "(4 5 6)", "(1 4)(2 5)(3 6)"]
 
 
 @pytest.mark.parametrize(
@@ -607,13 +612,16 @@ PGL27 = ["(0 1 2 3 4 5 6)", "(1 3 2 6 4 5)", "(0 inf)(1 6)(2 3)(4 5)"]  # x+1, 3
         (group_from_generators([perm(t, [str(k) for k in range(1, 12)]) for t in M11]), 7920),
         (group_from_generators([perm(t, [*"0123456", "inf"]) for t in PGL27]), 336),
         (wreath_product(symmetric_group(tuple("abcd")), symmetric_group(("1", "2"))), 1152),
+        (group_from_generators([perm(t, DOM6) for t in C3_WR_C2]), 18),
+        (wreath_product(symmetric_group(("a", "b")), symmetric_group(DOM3)), 48),
     ],
-    ids=["M11", "PGL(2,7)", "S4 wr S2"],
+    ids=["M11", "PGL(2,7)", "S4 wr S2", "C3 wr C2", "S2 wr S3"],
 )
 def test_transitive_groups_without_alt_are_never_certified(group, order):
-    """M11 holds 11- and 5-cycles, PGL(2,7) 7-cycles, S4 wr S2 3-cycles: each
-    prime lies just outside m/2 < p < m - 2, so no word can certify."""
-    assert is_transitive(group) and len(group.domain) >= 8
+    """M11 and PGL(2,7) have no transposition or 3-cycle among their
+    generators; the wreath products have one, but its merge stops at the
+    blocks they preserve, so none of them is certified."""
+    assert is_transitive(group)
     assert permgroup._jordan_order(group) is None
     assert group.order == order == len(naive_closure(group.generators, group.domain))
 
