@@ -2,18 +2,19 @@
 
 Cosets and automorphisms come from filtering the full n! permutations;
 reachability runs a BFS over labeled copies realizing the original
-"sequence of feasible edge-replacements" definition.  Size guards are hard
+"sequence of feasible edge-replacements" definition.  Graphs are held as int
+edge masks, one bit per label pair; the corpus marks each class's orbit of
+masks by closure under a transposition and an n-cycle.  Size guards are hard
 errors — a silently truncated search would report false negatives.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque, namedtuple
 from collections.abc import Iterator
-from itertools import permutations as all_orderings
+from itertools import combinations, permutations as all_orderings
 
-from .lgraph import LabeledGraph, _canonical_edge, _edge_key
+from .lgraph import LabeledGraph
 from .permgroup import Permutation
 
 COSET_LIMIT = 8
@@ -26,13 +27,30 @@ class SizeGuardError(ValueError):
     """Raised when an input exceeds a brute-force size guard."""
 
 
-def _canonical_state(edges) -> tuple:
-    pairs = [_canonical_edge(u, v) for u, v in edges]
-    return tuple(sorted(pairs, key=_edge_key))
+def _pair_bits(labels) -> tuple:
+    """The label pairs in canonical edge order, and bits[i][j] = bits[j][i] =
+    1 << k for the k-th pair, at positions i and j (i < j)."""
+    n = len(labels)
+    bits = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        bits[i][j] = bits[j][i] = 1 << k
+    return list(combinations(labels, 2)), bits
 
 
-def _mapped_state(mapping: dict, edges) -> tuple:
-    return _canonical_state((mapping[u], mapping[v]) for u, v in edges)
+def _edges(mask: int, pairs) -> tuple:
+    return tuple(pair for k, pair in enumerate(pairs) if mask >> k & 1)
+
+
+def _relabelings(g: LabeledGraph, edges) -> Iterator[int]:
+    """The mask of the images of edges under each ordering of g's labels, in
+    all_orderings(g.labels) order, so the identity's comes first."""
+    spots = [(g.labels.index(u), g.labels.index(v)) for u, v in edges]
+    _, bits = _pair_bits(g.labels)
+    for images in all_orderings(range(len(g.labels))):
+        mask = 0
+        for i, j in spots:
+            mask |= bits[images[i]][images[j]]
+        yield mask
 
 
 def _edge_filter(g: LabeledGraph, source_edges) -> list:
@@ -44,13 +62,12 @@ def _edge_filter(g: LabeledGraph, source_edges) -> list:
     """
     if len(g.labels) > COSET_LIMIT:
         raise SizeGuardError(f"brute filter capped at {COSET_LIMIT} labels")
-    edges = {frozenset(e) for e in g.edges}
-    found = []
-    for images in all_orderings(g.labels):
-        mapping = dict(zip(g.labels, images))
-        if all(frozenset((mapping[u], mapping[v])) in edges for u, v in source_edges):
-            found.append(Permutation(g.labels, images))
-    return found
+    target = next(_relabelings(g, g.edges))
+    return [
+        Permutation(g.labels, images)
+        for images, mask in zip(all_orderings(g.labels), _relabelings(g, source_edges))
+        if mask | target == target
+    ]
 
 
 def brute_automorphisms(g: LabeledGraph) -> list:
@@ -85,78 +102,60 @@ def reachability(g: LabeledGraph) -> ReachabilitySet:
     such that the result is again a labeled copy of g.  The transition count
     tallies every accepted move, revisits included.
     """
-    n = len(g.labels)
-    if n > REACH_LIMIT:
+    if len(g.labels) > REACH_LIMIT:
         raise SizeGuardError(f"reachability capped at {REACH_LIMIT} labels")
-    total = math.factorial(n) // len(brute_automorphisms(g))
-    if total > COPY_LIMIT:
-        raise SizeGuardError(f"too many labeled copies ({total} > {COPY_LIMIT})")
-    copies = set()
-    for images in all_orderings(g.labels):
-        copies.add(_mapped_state(dict(zip(g.labels, images)), g.edges))
-    all_pairs = [
-        (u, v)
-        for k, u in enumerate(g.labels)
-        for v in g.labels[k + 1 :]
-    ]
-    start = _canonical_state(g.edges)
-    visited = {start}
-    queue = deque([start])
+    copies = set(_relabelings(g, g.edges))
+    if len(copies) > COPY_LIMIT:
+        raise SizeGuardError(f"too many labeled copies ({len(copies)} > {COPY_LIMIT})")
+    pairs, _ = _pair_bits(g.labels)
+    singles = [1 << k for k in range(len(pairs))]
+    visited = {next(_relabelings(g, g.edges))}
+    queue = deque(visited)
     transitions = 0
     while queue:
         state = queue.popleft()
-        present = set(state)
-        for removed in state:
-            kept = present - {removed}
-            for added in all_pairs:
-                if added in kept:
-                    continue
-                candidate = _canonical_state(kept | {added})
+        for kept in [state ^ removed for removed in singles if state & removed]:
+            for candidate in [kept | added for added in singles if not kept & added]:
                 if candidate in copies:
                     transitions += 1
                     if candidate not in visited:
                         visited.add(candidate)
                         queue.append(candidate)
-    return ReachabilitySet(g, frozenset(visited), transitions, total)
+    reached = frozenset(_edges(mask, pairs) for mask in visited)
+    return ReachabilitySet(g, reached, transitions, len(copies))
 
 
 def corpus(n: int, rooted: bool = False) -> Iterator[LabeledGraph]:
     """One representative per isomorphism class on n vertices (n <= 6).
 
     Labels are "1".."n".  With rooted=True, each representative is yielded
-    once per root choice.  Enumeration walks edge bitmasks in numeric order
-    and marks whole relabeling orbits, so representatives are the
-    lexicographically minimal members of their classes.
+    once per root choice.  Enumeration walks edge bitmasks in numeric order;
+    each mask not yet marked is a representative, and a closure under the
+    transposition (1 2) and the n-cycle, which generate Sym(n), marks its
+    whole orbit.  So representatives are the numerically least masks of
+    their classes.
     """
     if not 1 <= n <= CORPUS_LIMIT:
         raise SizeGuardError(f"corpus capped at {CORPUS_LIMIT} labels")
     labels = tuple(str(i) for i in range(1, n + 1))
-    pairs = [
-        (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
-    ]
-    index = {pair: k for k, pair in enumerate(pairs)}
+    pairs, bits = _pair_bits(labels)
     tables = []
-    for images in all_orderings(range(n)):
-        table = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = sorted((images[i], images[j]))
-                table.append(index[(labels[a], labels[b])])
-        tables.append(table)
-    visited = bytearray(1 << len(pairs))
-    for mask in range(1 << len(pairs)):
+    for images in ((1, 0, *range(2, n)), (*range(1, n), 0)):
+        image = [0]  # image[mask] is mask's image; pass k adds the masks topped by bit k
+        for bit in [bits[images[i]][images[j]] for i, j in combinations(range(n), 2)]:
+            image += [member | bit for member in image]
+        tables.append(image)
+    visited = bytearray(len(tables[0]))
+    for mask in range(len(visited)):
         if visited[mask]:
             continue
-        for table in tables:
-            image = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                image |= 1 << table[low.bit_length() - 1]
-                rest ^= low
-            visited[image] = 1
-        edges = tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
-        g = LabeledGraph(labels, edges)
+        stack = [mask]
+        while stack:
+            member = stack.pop()
+            if not visited[member]:
+                visited[member] = 1
+                stack.extend(image[member] for image in tables)
+        g = LabeledGraph(labels, _edges(mask, pairs))
         if rooted:
             for x in labels:
                 yield g.with_root(x)

@@ -158,9 +158,10 @@ def test_path_combs_are_local_amoebas_with_a_path_skew():
 
 
 def test_reachability_oracle_matches_the_group_criterion():
+    """Every class on up to six labels: 1 + 2 + 4 + 11 + 34 + 156 graphs."""
     started = time.perf_counter()
-    assert sum(1 for _ in corpus(5)) == 34
-    for n in range(1, 6):
+    assert sum(1 for _ in corpus(6)) == 156
+    for n in range(1, 7):
         for g in corpus(n):
             walked = reachability(g)
             aut = automorphism_group(g).order

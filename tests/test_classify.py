@@ -83,15 +83,19 @@ def test_p3_is_a_global_amoeba():
     assert is_global_amoeba(p(3))
 
 
-def test_k3_global_verdict_matches_the_reachability_oracle():
-    """The engine's verdict on K3 u K1 agrees with brute-force BFS."""
-    k3 = family("complete", 3)
-    star = LabeledGraph(
-        ("1", "2", "3", "4"), (("1", "2"), ("1", "3"), ("2", "3"))
-    )
-    result = reachability(star)
-    oracle_says = len(result.reached) == result.total_copies
-    assert is_global_amoeba(k3) == oracle_says
+def test_global_verdicts_match_the_reachability_oracle():
+    """The paper's K_{n+1} definition: G is a global amoeba iff the BFS from
+    G plus an isolated label reaches every labeled copy, on every class of up
+    to five labels (K3 among them, whose copies in K4 stay stuck)."""
+    verdicts = []
+    for n in range(1, 6):
+        for g in corpus(n):
+            result = reachability(star(g))
+            oracle_says = len(result.reached) == result.total_copies
+            assert is_global_amoeba(g) == oracle_says, g
+            verdicts.append(oracle_says)
+    assert not is_global_amoeba(family("complete", 3))
+    assert True in verdicts and False in verdicts
 
 
 def test_paths_are_stem_symmetric_at_leaves():

@@ -8,7 +8,9 @@ lets the frozen orders elsewhere in the suite stand on two legs.
 import ast
 import inspect
 import math
+from collections import deque
 from itertools import islice
+from itertools import permutations as all_orderings
 
 import pytest
 
@@ -16,6 +18,7 @@ from amoebagraph import (
     EdgeReplacement,
     GraphError,
     LabeledGraph,
+    Permutation,
     SizeGuardError,
     are_isomorphic,
     automorphism_group,
@@ -32,6 +35,7 @@ from amoebagraph import (
     relabel,
 )
 from amoebagraph import oracle
+from amoebagraph.lgraph import _canonical_edge, _edge_key
 
 K3_PLUS_K1 = LabeledGraph(("1", "2", "3", "4"), (("1", "2"), ("1", "3"), ("2", "3")))
 
@@ -174,6 +178,134 @@ def test_corpus_members_are_pairwise_nonisomorphic():
         assert g.labels == ("1", "2", "3", "4")
         for h in reps[i + 1 :]:
             assert not are_isomorphic(g, h)
+
+
+# ------------------------------------------- the tuple-state oracle, pinned
+# The oracle as it was before it held graphs as edge masks, copied verbatim
+# but for the names.  The mask routes must return the same corpus in the same
+# order (bench/reference.json and the seeded relabelings key on it), the same
+# reachability sets and counts, and the same permutation lists.
+
+
+def tuple_canonical_state(edges) -> tuple:
+    pairs = [_canonical_edge(u, v) for u, v in edges]
+    return tuple(sorted(pairs, key=_edge_key))
+
+
+def tuple_mapped_state(mapping: dict, edges) -> tuple:
+    return tuple_canonical_state((mapping[u], mapping[v]) for u, v in edges)
+
+
+def tuple_edge_filter(g: LabeledGraph, source_edges) -> list:
+    if len(g.labels) > oracle.COSET_LIMIT:
+        raise SizeGuardError(f"brute filter capped at {oracle.COSET_LIMIT} labels")
+    edges = {frozenset(e) for e in g.edges}
+    found = []
+    for images in all_orderings(g.labels):
+        mapping = dict(zip(g.labels, images))
+        if all(frozenset((mapping[u], mapping[v])) in edges for u, v in source_edges):
+            found.append(Permutation(g.labels, images))
+    return found
+
+
+def tuple_reachability(g: LabeledGraph) -> tuple:
+    n = len(g.labels)
+    if n > oracle.REACH_LIMIT:
+        raise SizeGuardError(f"reachability capped at {oracle.REACH_LIMIT} labels")
+    total = math.factorial(n) // len(tuple_edge_filter(g, g.edges))
+    if total > oracle.COPY_LIMIT:
+        raise SizeGuardError(f"too many labeled copies ({total} > {oracle.COPY_LIMIT})")
+    copies = set()
+    for images in all_orderings(g.labels):
+        copies.add(tuple_mapped_state(dict(zip(g.labels, images)), g.edges))
+    all_pairs = [
+        (u, v)
+        for k, u in enumerate(g.labels)
+        for v in g.labels[k + 1 :]
+    ]
+    start = tuple_canonical_state(g.edges)
+    visited = {start}
+    queue = deque([start])
+    transitions = 0
+    while queue:
+        state = queue.popleft()
+        present = set(state)
+        for removed in state:
+            kept = present - {removed}
+            for added in all_pairs:
+                if added in kept:
+                    continue
+                candidate = tuple_canonical_state(kept | {added})
+                if candidate in copies:
+                    transitions += 1
+                    if candidate not in visited:
+                        visited.add(candidate)
+                        queue.append(candidate)
+    return g, frozenset(visited), transitions, total
+
+
+def tuple_corpus(n: int, rooted: bool = False):
+    if not 1 <= n <= oracle.CORPUS_LIMIT:
+        raise SizeGuardError(f"corpus capped at {oracle.CORPUS_LIMIT} labels")
+    labels = tuple(str(i) for i in range(1, n + 1))
+    pairs = [
+        (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+    ]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    tables = []
+    for images in all_orderings(range(n)):
+        table = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = sorted((images[i], images[j]))
+                table.append(index[(labels[a], labels[b])])
+        tables.append(table)
+    visited = bytearray(1 << len(pairs))
+    for mask in range(1 << len(pairs)):
+        if visited[mask]:
+            continue
+        for table in tables:
+            image = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                image |= 1 << table[low.bit_length() - 1]
+                rest ^= low
+            visited[image] = 1
+        edges = tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
+        g = LabeledGraph(labels, edges)
+        if rooted:
+            for x in labels:
+                yield g.with_root(x)
+        else:
+            yield g
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_corpus_equals_the_relabeling_table_enumeration(rooted):
+    for n in range(1, 7):
+        assert list(corpus(n, rooted)) == list(tuple_corpus(n, rooted))
+
+
+def test_reachability_equals_the_tuple_state_bfs():
+    graphs = [g for n in range(1, 6) for g in corpus(n)]
+    graphs += [family("path", 6), K3_PLUS_K1, *islice(corpus(6), 0, None, 10)]
+    for g in graphs:
+        rs = reachability(g)
+        assert tuple(rs) == tuple_reachability(g)
+        assert g.edges in rs.reached
+
+
+def test_brute_filters_equal_the_frozenset_filter():
+    """Same permutations in the same order: automorphisms of P8 and K8, and
+    the coset of every swap of every five-label class, neutral included."""
+    for g in (family("path", 8), family("complete", 8)):
+        assert brute_automorphisms(g) == tuple_edge_filter(g, g.edges)
+    for g in corpus(5):
+        swaps = [EdgeReplacement(e, f) for e in g.edges for f in g.non_edges()]
+        for r in (EdgeReplacement(), *swaps):
+            replaced = g if r.removed is None else g.remove_edge(*r.removed).add_edge(*r.added)
+            assert brute_coset(g, r) == tuple_edge_filter(g, replaced.edges)
 
 
 # ---------------------------------------------------------------- size guards
