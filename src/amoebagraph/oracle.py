@@ -19,7 +19,6 @@ from .permgroup import Permutation
 
 COSET_LIMIT = 8
 REACH_LIMIT = 6
-COPY_LIMIT = 100_000
 CORPUS_LIMIT = 6
 
 
@@ -105,8 +104,6 @@ def reachability(g: LabeledGraph) -> ReachabilitySet:
     if len(g.labels) > REACH_LIMIT:
         raise SizeGuardError(f"reachability capped at {REACH_LIMIT} labels")
     copies = set(_relabelings(g, g.edges))
-    if len(copies) > COPY_LIMIT:
-        raise SizeGuardError(f"too many labeled copies ({len(copies)} > {COPY_LIMIT})")
     pairs, _ = _pair_bits(g.labels)
     singles = [1 << k for k in range(len(pairs))]
     visited = {next(_relabelings(g, g.edges))}

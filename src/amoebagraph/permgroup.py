@@ -1,16 +1,17 @@
 """Permutations and permutation groups over finite label domains.
 
-Labels are strings, or nested (b, x) pairs coming from comb products.
-Permutations are immutable bijections on a canonically ordered domain,
-stored once, as image positions; groups are held by their generators and
-carry a deterministic Sims table, built by Knuth's sift-and-close
-algorithm, giving exact orders (arbitrary-precision ints) and membership
-tests without listing any element; a group that moves one orbit and has a
-transposition or 3-cycle among its generators whose block-system merge joins
-that orbit holds Alt of it (Jordan), and gets its order without one.  Each
-group also caches its orbit partition, found by one breadth-first walk over
-positions, so orbit and transitivity questions never build a table.
-Minimal block systems come from Atkinson's merge over positions.
+Labels are strings, or nested (b, x) pairs coming from comb products.  A
+permutation is the named tuple (domain, perm) of a canonically ordered
+domain and its image positions, the only stored form.  Groups are held by
+their generators, each kept once and never the identity, and carry a
+deterministic Sims table, built by Knuth's sift-and-close algorithm, giving
+exact orders (arbitrary-precision ints) and membership tests without listing
+any element; a group that moves one orbit and has a transposition or 3-cycle
+among its generators whose block-system merge joins that orbit holds Alt of
+it (Jordan), and gets its order without one.  Each group also caches its
+orbit partition, found by one breadth-first walk over positions, so orbit and
+transitivity questions never build a table.  Minimal block systems come from
+Atkinson's merge over positions.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _index_of(domain: tuple) -> dict:
     return index
 
 
-class Permutation:
+class Permutation(namedtuple("Permutation", "domain perm")):
     """Immutable bijection on a canonically ordered label domain.
 
     ``perm[k]`` is the domain position of the image of ``domain[k]``; it is
@@ -66,38 +67,29 @@ class Permutation:
     constructors validate; products and inverses of valid ones skip the check.
     """
 
-    __slots__ = ("domain", "perm")
+    __slots__ = ()
 
-    def __init__(self, domain: tuple, images: tuple):
+    def __new__(cls, domain: tuple, images: tuple):
         index = _index_of(domain)
-        images = tuple(images)
         try:
-            perm = tuple(index[y] for y in images)
+            perm = tuple([index[y] for y in images])
         except (KeyError, TypeError):
             raise PermutationError("images are not a bijection of the domain") from None
         if len(perm) != len(index) or len(set(perm)) != len(perm):
             raise PermutationError("images are not a bijection of the domain")
-        _set_domain(self, domain)
-        _set_perm(self, perm)
+        return tuple.__new__(cls, (domain, perm))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.perm == other.perm and (
-            self.domain is other.domain or self.domain == other.domain
-        )
-
-    def __hash__(self):
-        return hash(self.perm)
+    @classmethod
+    def _make(cls, fields):
+        # so _replace checks too: a position off the domain shortens the images
+        domain, perm = fields
+        return cls(domain, [domain[k] for k in perm if k in range(len(domain))])
 
     def __repr__(self) -> str:
         return f"Permutation(domain={self.domain!r}, images={self.images!r})"
 
     def __reduce__(self):
-        # pickle and copy rebuild through the checked constructor, not __setattr__
+        # pickle and copy rebuild through the checked constructor, from images
         return (Permutation, (self.domain, self.images))
 
     @property
@@ -135,17 +127,9 @@ class Permutation:
         return cycle_notation(self)
 
 
-# Slot setters: they bypass the __setattr__ that keeps Permutation immutable.
-_set_domain = Permutation.domain.__set__
-_set_perm = Permutation.perm.__set__
-
-
 def _unchecked(domain: tuple, perm: tuple) -> Permutation:
     """A permutation from image positions already known to be a bijection."""
-    p = object.__new__(Permutation)
-    _set_domain(p, domain)
-    _set_perm(p, perm)
-    return p
+    return tuple.__new__(Permutation, (domain, perm))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -212,10 +196,15 @@ class PermutationGroup(namedtuple("PermutationGroup", "domain generators")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, domain: tuple, generators: tuple):
+        # Canonical domain order; each generator once, in first-seen order, no identity.
+        domain = sorted_domain(domain)
+        kept = {}
         for g in generators:
             if g.domain != domain:
                 raise PermutationError("generator domain does not match group domain")
-        return tuple.__new__(cls, (domain, generators))
+            if not g.is_identity:
+                kept.setdefault(g.perm, g)
+        return tuple.__new__(cls, (domain, tuple(kept.values())))
 
     def __setattr__(self, name, value):
         raise AttributeError("PermutationGroup is immutable")
@@ -344,23 +333,12 @@ def _sims_table(domain: tuple, generators) -> dict:
 
 def group_from_generators(gens, domain=None) -> PermutationGroup:
     """Group generated by gens; an empty list needs an explicit domain."""
-    gens = list(gens)
+    gens = tuple(gens)
     if domain is None:
         if not gens:
             raise PermutationError("empty generating set requires an explicit domain")
         domain = gens[0].domain
-    else:
-        domain = sorted_domain(domain)
-    unique = []
-    seen = set()
-    for g in gens:
-        if g.domain != domain:
-            raise PermutationError("generators live on different domains")
-        if g.is_identity or g.perm in seen:
-            continue
-        seen.add(g.perm)
-        unique.append(g)
-    return PermutationGroup(domain, tuple(unique))
+    return PermutationGroup(domain, gens)
 
 
 def transversal(generators, domain: tuple, point) -> dict:
@@ -400,10 +378,8 @@ def symmetric_group(labels) -> PermutationGroup:
     swap = {x: x for x in domain}
     swap[domain[0]], swap[domain[1]] = domain[1], domain[0]
     cycle = {x: y for x, y in zip(domain, domain[1:] + domain[:1])}
-    gens = [Permutation.from_mapping(swap), Permutation.from_mapping(cycle)]
-    if len(domain) == 2:
-        gens = gens[:1]
-    return PermutationGroup(domain, tuple(gens))
+    gens = (Permutation.from_mapping(swap), Permutation.from_mapping(cycle))
+    return PermutationGroup(domain, gens)
 
 
 def is_transitive(group: PermutationGroup) -> bool:

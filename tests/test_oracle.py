@@ -29,8 +29,6 @@ from amoebagraph import (
     family,
     feasible_replacements,
     fer_coset,
-    fer_group,
-    is_local_amoeba,
     reachability,
     relabel,
 )
@@ -141,23 +139,6 @@ def test_reachability_set_contains_its_start_as_labeled_copies():
             assert are_isomorphic(LabeledGraph(g.labels, state), g)
 
 
-def test_reached_count_is_the_fer_to_aut_index_up_to_five_labels():
-    for n in (1, 2, 3, 4, 5):
-        for g in corpus(n):
-            rs = reachability(g)
-            order = fer_group(g).order
-            aut = automorphism_group(g).order
-            assert len(rs.reached) == order // aut
-            assert rs.total_copies == math.factorial(n) // aut
-
-
-def test_local_amoebas_are_exactly_the_fully_reaching_graphs():
-    for n in (2, 3, 4, 5):
-        for g in corpus(n):
-            rs = reachability(g)
-            assert is_local_amoeba(g) == (len(rs.reached) == rs.total_copies)
-
-
 # --------------------------------------------------------------------- corpus
 
 
@@ -213,8 +194,8 @@ def tuple_reachability(g: LabeledGraph) -> tuple:
     if n > oracle.REACH_LIMIT:
         raise SizeGuardError(f"reachability capped at {oracle.REACH_LIMIT} labels")
     total = math.factorial(n) // len(tuple_edge_filter(g, g.edges))
-    if total > oracle.COPY_LIMIT:
-        raise SizeGuardError(f"too many labeled copies ({total} > {oracle.COPY_LIMIT})")
+    if total > 100_000:
+        raise SizeGuardError(f"too many labeled copies ({total} > 100000)")
     copies = set()
     for images in all_orderings(g.labels):
         copies.add(tuple_mapped_state(dict(zip(g.labels, images)), g.edges))

@@ -12,10 +12,12 @@ from amoebagraph import (
     LabeledGraph,
     Permutation,
     PermutationError,
+    PermutationGroup,
     are_isomorphic,
     classify_graph,
     family,
     fer_group,
+    group_from_generators,
     reachability,
 )
 
@@ -57,6 +59,38 @@ def test_a_graph_is_its_field_tuple_and_another_root_makes_it_unequal():
     assert g == (g.labels, g.edges, g.root) and hash(g) == hash((g.labels, g.edges, g.root))
     assert len(g) == 3 and tuple(g) == (g.labels, g.edges, g.root)
     assert g != g.with_root("2") and g == g.with_root("2").with_root("1")
+
+
+def test_a_permutation_is_its_field_tuple_of_domain_and_positions():
+    p = Permutation(("1", "2", "3"), ("2", "3", "1"))
+    assert p == (p.domain, p.perm) and hash(p) == hash((p.domain, p.perm))
+    assert len(p) == 2 and tuple(p) == (("1", "2", "3"), (1, 2, 0))
+    assert p != p.inverse() and p == p.inverse().inverse()
+
+
+def test_replacing_positions_goes_through_the_checks():
+    p = Permutation(("1", "2", "3"), ("2", "3", "1"))
+    assert p._replace(perm=(0, 2, 1)) == Permutation(p.domain, ("1", "3", "2"))
+    for bad in ((0, 0, 1), (0, 1, 3), (0, 1, -1)):
+        with pytest.raises(PermutationError, match="not a bijection"):
+            p._replace(perm=bad)
+
+
+def test_a_group_keeps_each_generator_once_and_no_identity():
+    domain = ("1", "2", "3")
+    p = Permutation(domain, ("2", "1", "3"))
+    identity = Permutation(domain, domain)
+    group = PermutationGroup(domain, (identity, p, p))
+    assert group.generators == (p,) and group == group_from_generators([p], domain)
+    assert PermutationGroup(("3", "1", "2"), (p,)).domain == domain
+
+
+def test_a_generator_on_another_domain_is_refused():
+    p = Permutation(("1", "2", "3"), ("2", "1", "3"))
+    q = Permutation(("1", "2"), ("2", "1"))
+    for gens, domain in (([p], ("1", "2")), ([p, q], None)):
+        with pytest.raises(PermutationError, match="generator domain"):
+            group_from_generators(gens, domain)
 
 
 def test_replace_goes_through_the_checks():
